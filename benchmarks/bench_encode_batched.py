@@ -1,4 +1,4 @@
-"""Micro-benchmark: pre-PR per-block encode path vs the batched path.
+"""Micro-benchmark: the seed's serial encode path vs the production path.
 
 The reference implementation below reproduces the seed's serial STZ
 encode pipeline algorithm-for-algorithm — per-sub-block float64
@@ -6,10 +6,11 @@ quantization, per-segment Huffman encode with the 3-byte-plane pack
 scatter, unconditional zlib over every Huffman blob, the
 linear-everywhere predictor, and the level-1 SZ3 decompression
 round-trip — built from today's container/format primitives so the
-output stays decodable.  The production path is the level-batched
-encoder (``quantize_many`` + ``huffman_encode_many`` + probe-mode
-lossless + shift-cached boundary-linear prediction + level-1 recon
-reuse).
+output stays decodable.  The production path is the stage-wise level
+encoder (per-sub-block ``quantize_many`` + ``huffman_encode_many`` on
+the compiled kernels where they build, probe-mode lossless,
+shift-cached boundary-linear prediction, level-1 recon reuse); the
+"batched" labels in its rows and records are historic names for it.
 
 Both paths run interleaved in one process under the same allocator
 tuning, so the reported speedup isolates the algorithmic changes.

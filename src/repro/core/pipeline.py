@@ -14,8 +14,10 @@ Compression walks the hierarchy coarsest-first:
    to form the next level's prediction basis.
 
 Decompression mirrors this and may stop at any level (progressive).
-All per-sub-block work at one level is independent, so both directions
-accept a ``threads`` argument (the paper's OMP mode).
+All per-sub-block work at one level is independent, so each level runs
+stage by stage, every stage a map over the sub-blocks; both directions
+accept a ``threads`` argument (the paper's OMP mode) that fans those
+maps across a pool, and serial and threaded runs share the one path.
 
 The hot kernels under this pipeline — quantization, Huffman tree and
 packing, interpolation combination — engage compiled implementations
@@ -40,7 +42,7 @@ from repro.core.partition import (
     subblock_shape,
     subblock_view_in,
 )
-from repro.core.parallel import effective_threads, parallel_capacity, pmap
+from repro.core.parallel import pmap
 from repro.core.predict import (
     populate_shift_cache,
     predict_block,
@@ -59,16 +61,10 @@ from repro.core.stream import (
 from repro.encoding.huffman import (
     huffman_decode,
     huffman_decode_many,
-    huffman_encode,
     huffman_encode_many,
 )
 from repro.encoding.lossless import compress_bytes, decompress_bytes
-from repro.encoding.quantizer import (
-    _f32_mode,
-    dequantize_many,
-    quantize,
-    quantize_many,
-)
+from repro.encoding.quantizer import _f32_mode, dequantize_many, quantize_many
 from repro.sz3.compressor import (
     sz3_compress,
     sz3_compress_with_recon,
@@ -79,34 +75,11 @@ from repro.util.timer import StageTimer
 from repro.util.validation import as_float_array, resolve_eb
 
 _ZERO_EPS_LIMIT = 8  # eps mask fits u8
-#: per-sub-block element count above which a level is encoded block by
-#: block even serially: level-wide staging would roughly double peak
-#: memory while the fused stages no longer amortize anything at that
-#: size (quantize_many bypasses fusion for large blocks anyway)
-_LEVEL_FUSE_LIMIT = 1 << 23
 
 
 # ---------------------------------------------------------------------------
 # residual segment payloads
 # ---------------------------------------------------------------------------
-
-def _encode_residual_q(
-    values: np.ndarray,
-    pred: np.ndarray,
-    eb: float,
-    config: STZConfig,
-) -> tuple[bytes, np.ndarray]:
-    """Quantize + Huffman one sub-block; returns (payload, recon).
-
-    Kept as the single-block reference path (ablations, benchmarks);
-    the pipeline itself goes through :func:`_encode_residual_level`.
-    """
-    qb = quantize(values, pred, eb, config.quant_radius, config.f32_quant)
-    return (
-        _residual_payload(huffman_encode(qb.codes), qb, config),
-        qb.recon.reshape(values.shape),
-    )
-
 
 def _residual_payload(huff_blob: bytes, qb, config: STZConfig) -> bytes:
     """Assemble one sub-block payload from its Huffman blob + outliers.
@@ -130,21 +103,38 @@ def _encode_residual_level(
     preds: list[np.ndarray],
     eb: float,
     config: STZConfig,
+    threads: int | None,
 ) -> tuple[list[bytes], list[np.ndarray]]:
-    """Quantize + Huffman all sub-blocks of one level, batched.
+    """Quantize, Huffman-encode and assemble the sub-blocks of one level.
 
-    The encode-side mirror of :func:`_decode_level`: one fused
-    :func:`quantize_many` pass and one fused :func:`huffman_encode_many`
-    pack cover every sub-block, so per-stage numpy dispatch is paid once
-    per level.  Payload bytes are identical to per-block
-    :func:`_encode_residual_q`.
+    Each stage maps over the sub-blocks (across the pool when
+    ``threads`` asks for it); every payload depends on its own
+    sub-block alone, so the bytes do not depend on ``threads``.
     """
-    qbs = quantize_many(blocks, preds, eb, config.quant_radius, config.f32_quant)
-    huffs = huffman_encode_many([qb.codes for qb in qbs])
-    payloads = [
-        _residual_payload(huff, qb, config) for huff, qb in zip(huffs, qbs)
-    ]
+    qbs = quantize_many(
+        blocks, preds, eb, config.quant_radius, config.f32_quant,
+        threads=threads,
+    )
+    huffs = huffman_encode_many([qb.codes for qb in qbs], threads=threads)
+    payloads = pmap(
+        lambda hq: _residual_payload(hq[0], hq[1], config),
+        list(zip(huffs, qbs)),
+        threads,
+    )
     return payloads, [qb.recon for qb in qbs]
+
+
+def _level_shift_cache(C: np.ndarray, config: STZConfig) -> dict:
+    """The clamp-shift cache for predicting one level from ``C``.
+
+    A full level asks for every shift combination anyway, so filling it
+    up front costs nothing extra and leaves the dict read-only for pool
+    workers (a lazy fill is a check-then-insert race).
+    """
+    cache: dict = {}
+    if uses_shift_cache(config.interp, config.cubic_mode):
+        populate_shift_cache(C, cache)
+    return cache
 
 
 def _split_residual_payload(
@@ -302,81 +292,42 @@ def _compress_level_q(
     offsets: list[Offset],
     threads: int | None,
 ) -> np.ndarray:
-    """One level of the batched quantize-residual encode path.
+    """One level of the quantize-residual encode path.
 
-    Serial mode fuses stages across the level: prediction per
-    sub-block, then one :func:`quantize_many` pass and one
-    :func:`huffman_encode_many` pack — the encode counterpart of
-    :func:`_decode_level`'s batched entropy decode.  Threaded mode
-    (the paper's OMP) instead runs the whole per-sub-block chain in
-    the pool, spreading prediction, quantization, Huffman *and* zlib
-    across cores; because the fused and per-block primitives are
-    bit-identical, both modes emit the same container bytes.
+    Stage by stage over the level's sub-blocks: prediction, then
+    :func:`_encode_residual_level` (quantize, Huffman, payload
+    assembly).  Serial and threaded runs (the paper's OMP) take the
+    same path — each stage is a :func:`pmap`, a plain loop when serial
+    — so both emit the same container bytes.
     """
-    shift_cache: dict = {}  # clamp-shifts shared by all parity offsets
+    shift_cache = _level_shift_cache(C, config)
 
-    def block_work(eps: Offset):
-        """Per-sub-block chain: predict, quantize, encode, assemble."""
+    def predict(eps: Offset):
         B = np.ascontiguousarray(subblock_view_in(data, eps, stride))
-        ts = subblock_shape(fine_shape, eps)
         if B.size == 0:
-            return eps, b"", np.empty(ts, dtype=data.dtype)
+            return None
+        ts = subblock_shape(fine_shape, eps)
         pred = predict_block(
             C, eps, ts, config.interp, config.cubic_mode, shift_cache
         )
-        payload, recon = _encode_residual_q(B, pred, ebl, config)
-        return eps, payload, recon
+        return B, pred
 
-    level_points = 1
-    for n in fine_shape:
-        level_points *= n
-    huge = level_points // (2 ** data.ndim) > _LEVEL_FUSE_LIMIT
-    threaded = effective_threads(threads) > 1 and parallel_capacity() > 1
-    if huge or threaded:
-        # threaded (the paper's OMP: the whole chain spreads across
-        # cores) or huge sub-blocks (level-wide staging would hold
-        # ~2x the data live while per-stage fusion no longer buys
-        # anything at that size) — run the per-block chain, which is
-        # bit-identical to the fused path
-        if threaded and uses_shift_cache(config.interp, config.cubic_mode):
-            # fill the cache before the pool spawns so the workers only
-            # ever read it (lazy fill is a check-then-insert race)
-            populate_shift_cache(C, shift_cache)
-        blocks = {}
-        for eps, payload, recon in pmap(block_work, offsets, threads):
-            writer.add_segment(level, eps, KIND_RESIDUAL_Q, payload)
-            blocks[eps] = recon
-        return interleave(C, blocks, fine_shape)
-
-    def pred_work(eps: Offset):
-        B = np.ascontiguousarray(subblock_view_in(data, eps, stride))
-        ts = subblock_shape(fine_shape, eps)
-        if B.size == 0:
-            return eps, ts, None, None
-        pred = predict_block(
-            C, eps, ts, config.interp, config.cubic_mode, shift_cache
-        )
-        return eps, ts, B, pred
-
-    items = [pred_work(eps) for eps in offsets]
-    live = [(eps, ts, B, pred) for eps, ts, B, pred in items if B is not None]
+    pairs = pmap(predict, offsets, threads)
+    live = [p for p in pairs if p is not None]
     payloads, recons = _encode_residual_level(
-        [B for _, _, B, _ in live],
-        [pred for _, _, _, pred in live],
-        ebl,
-        config,
+        [B for B, _ in live], [pred for _, pred in live], ebl, config,
+        threads,
     )
-    by_eps = {
-        eps: (payload, recon.reshape(ts))
-        for (eps, ts, _, _), payload, recon in zip(live, payloads, recons)
-    }
+    encoded = iter(zip(payloads, recons))
     blocks = {}
-    for eps, ts, _B, _pred in items:
-        payload, recon = by_eps.get(
-            eps, (b"", np.empty(ts, dtype=data.dtype))
-        )
+    for eps, pair in zip(offsets, pairs):
+        ts = subblock_shape(fine_shape, eps)
+        if pair is None:
+            payload, recon = b"", np.empty(ts, dtype=data.dtype)
+        else:
+            payload, recon = next(encoded)
         writer.add_segment(level, eps, KIND_RESIDUAL_Q, payload)
-        blocks[eps] = recon
+        blocks[eps] = recon.reshape(ts)
     return interleave(C, blocks, fine_shape)
 
 
@@ -461,41 +412,23 @@ def stz_decompress(
         with timer.time(f"l{lvl}_decode"):
             decoded = _decode_level(reader, segs, offsets, header, config, threads)
         with timer.time(f"l{lvl}_predict"):
-            threaded = (
-                effective_threads(threads) > 1 and parallel_capacity() > 1
-            )
-            shift_cache: dict = {}
-            if threaded and uses_shift_cache(config.interp, config.cubic_mode):
-                # pre-fill serially so the pmap workers only read the
-                # cache (lazy fill is a check-then-insert race)
-                populate_shift_cache(C, shift_cache)
-
-            if config.residual_codec == "quantize" and not threaded:
+            if config.residual_codec == "quantize":
                 blocks = _reconstruct_level_q(
                     C, decoded, fine_shape, ebl, config, header.dtype,
-                    shift_cache,
+                    threads,
                 )
             else:
-                def reconstruct(
-                    item, _C=C, _fs=fine_shape, _ebl=ebl, _sc=shift_cache
-                ):
-                    eps, decoded_payload = item
-                    if config.residual_codec == "quantize":
-                        # single-item batch through the same helper the
-                        # fused serial path uses, so the two decode
-                        # paths cannot drift (they are bit-identical)
-                        blk = _reconstruct_level_q(
-                            _C, [item], _fs, _ebl, config, header.dtype,
-                            _sc,
-                        )
-                        return eps, blk[eps]
+                shift_cache = _level_shift_cache(C, config)
+
+                def reconstruct(item, _C=C, _fs=fine_shape, _sc=shift_cache):
+                    eps, residual = item
                     ts = subblock_shape(_fs, eps)
-                    if decoded_payload is None:
+                    if residual is None:
                         return eps, np.empty(ts, dtype=header.dtype)
                     pred = predict_block(
                         _C, eps, ts, config.interp, config.cubic_mode, _sc
                     )
-                    return eps, pred + decoded_payload  # sz3 residual array
+                    return eps, pred + residual
 
                 blocks = dict(pmap(reconstruct, decoded, threads))
         with timer.time(f"l{lvl}_reassemble"):
@@ -510,56 +443,47 @@ def _reconstruct_level_q(
     ebl: float,
     config: STZConfig,
     dtype: np.dtype,
-    shift_cache: dict,
+    threads: int | None,
 ) -> dict[Offset, np.ndarray]:
-    """Predict + dequantize all sub-blocks of one level, batched.
+    """Predict + dequantize the sub-blocks of one level.
 
-    The decode-side mirror of :func:`_encode_residual_level`.  Each
-    sub-block first tries the compiled fused
+    Each sub-block first tries the compiled fused
     :func:`~repro.core.predict.predict_dequant_block` kernel — predict
     combine and dequantize arithmetic in one GIL-releasing native pass,
     no materialized prediction array (DESIGN.md §10).  Sub-blocks the
-    kernel declines run the reference: prediction per sub-block (it is
-    geometry-bound), then a single fused :func:`dequantize_many` pass —
-    bit-identical to the compiled path and to per-block
-    :func:`dequantize`, since the core is element-wise (DESIGN.md §2).
+    kernel declines run the reference :func:`predict_block` +
+    :func:`dequantize_many`, which is bit-identical.  The sub-blocks
+    map across the pool when ``threads`` asks for it.
     """
     f32_mode = config.f32_quant and _f32_mode(
         dtype, dtype, ebl, config.quant_radius
     )
-    blocks: dict[Offset, np.ndarray] = {}
-    live: list[tuple[Offset, tuple[int, ...]]] = []
-    codes, preds, positions, values = [], [], [], []
-    for eps, payload in decoded:
+    shift_cache = _level_shift_cache(C, config)
+
+    def reconstruct(item):
+        eps, payload = item
         ts = subblock_shape(fine_shape, eps)
         if payload is None:
-            blocks[eps] = np.empty(ts, dtype=dtype)
-            continue
-        c, pos, val = payload
+            return eps, np.empty(ts, dtype=dtype)
+        codes, pos, val = payload
         rec = predict_dequant_block(
             C, eps, ts, config.interp, config.cubic_mode, shift_cache,
-            c, ebl, config.quant_radius, f32_mode,
+            codes, ebl, config.quant_radius, f32_mode,
         )
-        if rec is not None:
-            if pos.size:
-                rec.reshape(-1)[pos] = val
-            blocks[eps] = rec
-            continue
-        pred = predict_block(
-            C, eps, ts, config.interp, config.cubic_mode, shift_cache
-        )
-        live.append((eps, ts))
-        codes.append(c)
-        preds.append(pred)
-        positions.append(pos)
-        values.append(val)
-    recons = dequantize_many(
-        codes, preds, ebl, positions, values, config.quant_radius,
-        config.f32_quant,
-    )
-    for (eps, ts), rec in zip(live, recons):
-        blocks[eps] = rec.reshape(ts)
-    return blocks
+        if rec is None:
+            pred = predict_block(
+                C, eps, ts, config.interp, config.cubic_mode, shift_cache
+            )
+            (flat,) = dequantize_many(
+                [codes], [pred], ebl, [pos], [val], config.quant_radius,
+                config.f32_quant,
+            )
+            return eps, flat.reshape(ts)
+        if pos.size:
+            rec.reshape(-1)[pos] = val
+        return eps, rec
+
+    return dict(pmap(reconstruct, decoded, threads))
 
 
 def _decode_payload(

@@ -12,7 +12,7 @@ touching the per-frame format:
   step) for arbitrarily long sequences.
 * Each step is compressed as a *temporal delta*: the residual
   ``step - recon(previous step)`` runs through the full spatial STZ
-  cascade (SZ3 level 1 + interpolation levels, the batched
+  cascade (SZ3 level 1 + interpolation levels, the stage-wise
   ``quantize_many``/``huffman_encode_many`` encode path).  Prediction
   is closed-loop — the delta is taken against the decoder's exact
   reconstruction (:func:`repro.core.pipeline.stz_compress_with_recon`),

@@ -58,94 +58,42 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
     """Fast path of :func:`pack_bits` for codewords of <= 16 bits.
 
-    Codewords are packed back to back starting at bit 0; see
-    :func:`pack_codes_at` for the scatter itself.
+    Codewords are packed back to back starting at bit 0.  Adjacent
+    codeword pairs fuse into one <=32-bit unit, halving the number of
+    scatter operations, which dominate this function.  Each unit is
+    shifted into a 64-bit word aligned to its 32-bit lane (a <=32-bit
+    unit at a <=31-bit in-lane offset spans at most two lanes).
+    Because no two units share a bit, each lane's sum is really a
+    bitwise OR of disjoint contributions and never exceeds
+    ``2**32 - 1`` — well inside float64's ``2**53`` exact-integer range
+    — so accumulating the two lane planes with ``np.bincount`` (one
+    C-speed scatter per plane) is exact.  The accumulation dtype must
+    hold ``2**32 - 1`` exactly; float32 (exact only to ``2**24``) would
+    silently corrupt the stream.
     """
     codes = np.asarray(codes, dtype=np.uint32)
-    lengths64 = np.asarray(lengths, dtype=np.int64)
-    if codes.shape != lengths64.shape:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have identical shapes")
-    ends = np.cumsum(lengths64)
+    if lengths.size and int(lengths.max()) > 16:
+        raise ValueError("pack_codes requires code lengths <= 16")
+    ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.zeros(0, dtype=np.uint8), 0
     nbytes = (total + 7) >> 3
-    packed = pack_codes_at(
-        codes, lengths64, ends - lengths64, nbytes, boundaries=()
-    )
-    return packed, total
 
-
-def pack_codes_at(
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    starts: np.ndarray,
-    nbytes: int,
-    boundaries: np.ndarray | None = None,
-) -> np.ndarray:
-    """Scatter <=16-bit codewords to explicit bit positions.
-
-    ``starts[i]`` is the absolute bit offset of codeword ``i`` in the
-    output; positions must be non-overlapping but need not be
-    contiguous, which lets one scatter emit *several* concatenated
-    byte-aligned streams at once (the batched encoder's fused pack).
-    ``boundaries`` (optional) lists the codeword indices where a new
-    bit-contiguous run begins — everywhere else codeword ``i+1`` must
-    start exactly where ``i`` ends.  When given, the per-pair adjacency
-    scan is skipped entirely; when omitted, adjacency is detected from
-    ``starts``.
-
-    Each codeword lands in a 32-bit container aligned to its 16-bit
-    lane (16-bit code + 15-bit in-lane offset spans at most 31 bits, so
-    two lanes).  Because no two codewords share a bit, each lane's sum
-    is really a bitwise OR of disjoint contributions and never exceeds
-    ``2**32 - 1`` — well inside float64's ``2**53`` exact-integer
-    range — so accumulating the two lane planes with ``np.bincount``
-    (one C-speed scatter per plane) is exact.  The accumulation dtype
-    must hold ``2**32 - 1`` exactly; float32 (exact only to ``2**24``)
-    would silently corrupt the stream.  Callers may pass
-    ``lengths``/``starts`` as int32 (totals below 2**31 bits) to keep
-    the index arithmetic in 4-byte lanes.
-    """
-    codes = np.asarray(codes, dtype=np.uint32)
-    lengths = np.asarray(lengths)
-    starts = np.asarray(starts)
-    if lengths.size and int(lengths.max()) > 16:
-        raise ValueError("pack_codes requires code lengths <= 16")
-    if nbytes == 0:
-        return np.zeros(0, dtype=np.uint8)
-
-    # fuse adjacent codeword pairs: wherever codeword i+1 starts exactly
-    # where codeword i ends (always, except across stream boundaries),
-    # the pair forms one <=32-bit codeword — halving the number of
-    # scatter operations, which dominate this function
-    n = codes.size
-    if n % 2:  # zero-length dummy: contributes no bits
-        codes = np.concatenate([codes, np.zeros(1, np.uint32)])
-        lengths = np.concatenate([lengths, np.zeros(1, lengths.dtype)])
-        starts = np.concatenate([starts, np.zeros(1, starts.dtype)])
-    c0, c1 = codes[0::2], codes[1::2]
+    starts = (ends - lengths)[0::2]  # bit offset of every pair
+    if codes.size % 2:  # zero-length dummy: contributes no bits
+        codes = np.append(codes, np.uint32(0))
+        lengths = np.append(lengths, 0)
     l0, l1 = lengths[0::2], lengths[1::2]
-    s0 = starts[0::2]
     pair_len = l0 + l1
+    c0, c1 = codes[0::2], codes[1::2]
     pair_code = (c0.astype(np.uint64) << l1.astype(np.uint64)) | c1
-    if boundaries is None:
-        # pairs straddling a discontinuity (rare: stream boundaries)
-        split = np.flatnonzero(starts[1::2] != s0 + l0)
-    else:
-        b = np.asarray(boundaries, dtype=np.int64)
-        split = (b[b & 1 == 1] >> 1) if b.size else b
-    if split.size:
-        pair_code[split] = c0[split]
-        pair_len[split] = l0[split]
-        pair_code = np.concatenate([pair_code, c1[split]])
-        pair_len = np.concatenate([pair_len, l1[split]])
-        s_all = np.concatenate([s0, starts[2 * split + 1]])
-    else:
-        s_all = s0
 
-    rem = s_all & 31
-    lane_idx = s_all >> 5
+    rem = starts & 31
+    lane_idx = starts >> 5
     shift = (64 - pair_len - rem).astype(np.uint64)
     w = pair_code << shift
     nlanes = (nbytes + 3) >> 2
@@ -161,7 +109,7 @@ def pack_codes_at(
     lanes = out[:nlanes].astype(np.uint32)
     if sys.byteorder == "little":
         lanes.byteswap(inplace=True)  # bitstream bytes are MSB-first
-    return lanes.view(np.uint8)[:nbytes]
+    return lanes.view(np.uint8)[:nbytes], total
 
 
 def unpack_bits(packed: np.ndarray, nbits: int) -> np.ndarray:

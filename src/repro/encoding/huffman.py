@@ -9,10 +9,9 @@ loops on both sides:
 Encoding
     Symbols are mapped to (codeword, length) with table gathers and
     packed with the vectorized scatter in
-    :mod:`repro.encoding.bitstream`.  :func:`huffman_encode_many` fuses
-    the gathers, the bit-offset cumsum and the pack scatter across all
-    sub-block streams of an STZ level while emitting byte-identical
-    segments — the encode-side mirror of the batched decoder below
+    :mod:`repro.encoding.bitstream` (or the compiled single-pass
+    packer).  :func:`huffman_encode_many` encodes each sub-block stream
+    of an STZ level on its own, optionally across a thread pool
     (DESIGN.md §2).
 
 Decoding
@@ -44,7 +43,7 @@ import numpy as np
 from repro.util import jit
 from repro.util.cache import BoundedLRU
 
-from repro.encoding.bitstream import pack_codes, pack_codes_at
+from repro.encoding.bitstream import pack_codes
 
 MAX_CODE_LEN = 16
 _MAGIC = 0xB7
@@ -249,40 +248,6 @@ def _normalize_symbols(symbols: np.ndarray) -> np.ndarray:
     return symbols.astype(np.uint32, copy=False)
 
 
-def _trivial_segment(freqs: np.ndarray, m: int) -> bytes | None:
-    """Header-only segment for empty/constant streams, else None."""
-    if m == 0:
-        return _HEADER.pack(_MAGIC, 0, 0, 0, 0, 0, 0, 0)
-    present = np.flatnonzero(freqs)
-    if present.size == 1:
-        return _HEADER.pack(
-            _MAGIC, _FLAG_CONST, 0, freqs.size, m, int(present[0]), 0, 0
-        )
-    return None
-
-
-def _assemble_segment(
-    m: int,
-    chunk: int,
-    alphabet: int,
-    nbits: int,
-    lengths: np.ndarray,
-    sync_starts: np.ndarray,
-    packed: np.ndarray,
-) -> bytes:
-    """Serialize one non-trivial stream given its packed payload and
-    the bit starts of every ``chunk``-th symbol (the sync index)."""
-    sync = sync_starts.astype(np.uint64)
-    sync_delta = np.diff(sync, prepend=np.uint64(0)).astype(np.uint32)
-    lens_z = zlib.compress(lengths.tobytes(), 6)
-    sync_z = zlib.compress(sync_delta.tobytes(), 6)
-    header = _HEADER.pack(
-        _MAGIC, 0, chunk, alphabet, m, nbits, len(lens_z), len(sync_z)
-    )
-    pad = b"\x00\x00\x00\x00"
-    return b"".join([header, lens_z, sync_z, packed.tobytes(), pad])
-
-
 def _pack_stream(
     symbols: np.ndarray,
     lengths: np.ndarray,
@@ -311,134 +276,46 @@ def huffman_encode(symbols: np.ndarray, chunk: int | None = None) -> bytes:
     """Encode a non-negative integer array into a self-describing segment."""
     symbols = _normalize_symbols(symbols)
     m = symbols.size
-    freqs = np.bincount(symbols) if m else np.zeros(0, dtype=np.int64)
-    trivial = _trivial_segment(freqs, m)
-    if trivial is not None:
-        return trivial
+    if m == 0:
+        return _HEADER.pack(_MAGIC, 0, 0, 0, 0, 0, 0, 0)
+    freqs = np.bincount(symbols)
+    present = np.flatnonzero(freqs)
+    if present.size == 1:  # constant stream: header only
+        return _HEADER.pack(
+            _MAGIC, _FLAG_CONST, 0, freqs.size, m, int(present[0]), 0, 0
+        )
 
     lengths = _limit_lengths(_code_lengths(freqs), freqs)
     codes = _canonical_codes(lengths)
 
     if chunk is None:
         chunk = _choose_chunk(m)
-    packed, nbits, sync = _pack_stream(symbols, lengths, codes, chunk)
-    return _assemble_segment(
-        m, chunk, freqs.size, nbits, lengths, sync, packed
+    packed, nbits, sync_starts = _pack_stream(symbols, lengths, codes, chunk)
+    sync = sync_starts.astype(np.uint64)
+    sync_delta = np.diff(sync, prepend=np.uint64(0)).astype(np.uint32)
+    lens_z = zlib.compress(lengths.tobytes(), 6)
+    sync_z = zlib.compress(sync_delta.tobytes(), 6)
+    header = _HEADER.pack(
+        _MAGIC, 0, chunk, freqs.size, m, nbits, len(lens_z), len(sync_z)
     )
+    pad = b"\x00\x00\x00\x00"
+    return b"".join([header, lens_z, sync_z, packed.tobytes(), pad])
 
 
 def huffman_encode_many(
-    arrays: list[np.ndarray], chunk: int | None = None
+    arrays: list[np.ndarray],
+    chunk: int | None = None,
+    threads: int | None = None,
 ) -> list[bytes]:
-    """Encode several symbol arrays with one fused bit-packing scatter.
+    """:func:`huffman_encode` each symbol array.
 
-    Each returned segment is byte-identical to ``huffman_encode`` on the
-    same input (same format, same code tables, same sync index) — only
-    the *work* is batched: the per-symbol (code, length) gathers run
-    over one concatenated symbol stream with per-stream table bases, and
-    a single :func:`repro.encoding.bitstream.pack_codes_at` scatter
-    packs every stream's payload into one buffer at byte-aligned
-    per-stream bases.  This amortizes the numpy dispatch and the
-    bincount scatter across all sub-blocks of an STZ level, mirroring
-    what :func:`huffman_decode_many` does on the decode side (see
-    DESIGN.md §2).
+    ``threads`` (optional) maps the streams across a thread pool — the
+    compiled packer releases the GIL.
     """
-    arrays = [_normalize_symbols(a) for a in arrays]
-    results: list[bytes | None] = [None] * len(arrays)
+    # lazy import: encoding stays import-independent of the executor layer
+    from repro.core.parallel import pmap
 
-    # per-stream code tables; trivial streams short-circuit to headers
-    streams = []  # (result_idx, symbols, freqs, lengths, codes)
-    for i, symbols in enumerate(arrays):
-        m = symbols.size
-        freqs = np.bincount(symbols) if m else np.zeros(0, dtype=np.int64)
-        trivial = _trivial_segment(freqs, m)
-        if trivial is not None:
-            results[i] = trivial
-            continue
-        lengths = _limit_lengths(_code_lengths(freqs), freqs)
-        streams.append((i, symbols, freqs, lengths, _canonical_codes(lengths)))
-    if not streams:
-        return results  # type: ignore[return-value]
-
-    if jit.has("huff_pack"):
-        # the compiled packer walks each stream once (payload bytes +
-        # sync index in one pass), so there is nothing left to fuse —
-        # per-stream segments are byte-identical to the path below
-        for i, symbols, freqs, lengths, codes in streams:
-            m = symbols.size
-            chunk_k = chunk if chunk is not None else _choose_chunk(m)
-            packed, nbits, sync = _pack_stream(symbols, lengths, codes, chunk_k)
-            results[i] = _assemble_segment(
-                m, chunk_k, freqs.size, nbits, lengths, sync, packed
-            )
-        return results  # type: ignore[return-value]
-
-    # per-symbol gathers run per stream (each code table stays cache
-    # resident) straight into shared slabs; everything downstream — the
-    # bit-offset cumsum, the pack scatter, the sync indexes — is fused
-    # across streams
-    sizes = np.array([s[1].size for s in streams], dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    total_m = int(bounds[-1])
-    # index arithmetic stays in 4-byte lanes when the totals allow
-    # (16 bits/code means < 2**27 symbols keeps every bit offset int32)
-    idt = np.int32 if total_m * MAX_CODE_LEN < 2**31 else np.int64
-    # one gather per stream from a fused (code << 5 | length) table,
-    # then two cheap unpack passes — instead of two table gathers
-    combo = np.empty(total_m, dtype=np.uint32)
-    for (_i, symbols, _f, lengths, codes), s, e in zip(
-        streams, bounds, bounds[1:]
-    ):
-        np.take(
-            (codes << np.uint32(5)) | lengths, symbols, out=combo[s:e]
-        )
-    sym_codes = combo >> np.uint32(5)
-    sym_lens = combo & np.uint32(31)
-    sym_lens = (
-        sym_lens.view(np.int32) if idt is np.int32
-        else sym_lens.astype(np.int64)
-    )
-
-    # bit geometry: per-stream totals, byte-aligned stream bases, and
-    # one global cumsum shared by the pack scatter and the sync indexes
-    # (explicit dtype: numpy's default cumsum accumulator is platform
-    # int, which would silently promote the int32 lanes back to 8 bytes)
-    ends = np.cumsum(sym_lens, dtype=idt)
-    prefix_bits = np.concatenate([[0], ends[bounds[1:] - 1].astype(np.int64)])
-    tot_bits = np.diff(prefix_bits)
-    nbytes = (tot_bits + 7) >> 3
-    byte_base = np.concatenate([[0], np.cumsum(nbytes)])
-    # realign every stream to its byte-aligned base, reusing the cumsum
-    # buffer: abs_starts = (ends - lens) + (8*byte_base - prefix_bits)
-    np.subtract(ends, sym_lens, out=ends)
-    abs_starts = ends
-    abs_starts += np.repeat(
-        (8 * byte_base[:-1] - prefix_bits[:-1]).astype(idt), sizes
-    )
-
-    big = pack_codes_at(
-        sym_codes,
-        sym_lens,
-        abs_starts,
-        int(byte_base[-1]),
-        boundaries=bounds[1:-1],
-    )
-
-    for k, (i, symbols, freqs, lengths, _codes) in enumerate(streams):
-        m = symbols.size
-        packed = big[byte_base[k] : byte_base[k] + nbytes[k]]
-        chunk_k = chunk if chunk is not None else _choose_chunk(m)
-        results[i] = _assemble_segment(
-            m,
-            chunk_k,
-            freqs.size,
-            int(tot_bits[k]),
-            lengths,
-            abs_starts[bounds[k] : bounds[k + 1] : chunk_k]
-            - idt(8 * byte_base[k]),
-            packed,
-        )
-    return results  # type: ignore[return-value]
+    return pmap(lambda a: huffman_encode(a, chunk), arrays, threads)
 
 
 def huffman_decode(blob: bytes | memoryview) -> np.ndarray:
@@ -491,6 +368,45 @@ def _decode_stream_compiled(spec) -> np.ndarray | None:
     )
 
 
+def _lockstep_walk(
+    payloads: list[np.ndarray],
+    table: np.ndarray,
+    pos: np.ndarray,
+    steps: int,
+    base: np.ndarray | None = None,
+) -> np.ndarray:
+    """The reference table walk: every chunk decodes ``steps`` codewords
+    in lockstep, one batched gather per step.
+
+    ``payloads`` are concatenated into one byte buffer; ``pos`` holds
+    each chunk's starting bit offset into it (advanced in place), and
+    ``base`` (optional) each chunk's offset into a fused multi-segment
+    ``table``.  Returns the ``(steps, chunks)`` table entries
+    ``symbol << 5 | length``; entries past a chunk's end are garbage
+    for the caller to trim.
+    """
+    # generous tail padding lets the loop run past stream ends without
+    # any per-step clamping
+    pad = np.zeros(2 * steps + 8, dtype=np.uint8)
+    big = np.concatenate(payloads + [pad])
+    # 24-bit windows anchored at every byte: covers any in-byte offset
+    u24 = (
+        (big[:-2].astype(np.uint32) << np.uint32(16))
+        | (big[1:-1].astype(np.uint32) << np.uint32(8))
+        | big[2:].astype(np.uint32)
+    )
+    out = np.empty((steps, pos.size), dtype=np.uint32)
+    mask = np.uint32(0xFFFF)
+    shift_base = np.uint32(8)
+    low5 = np.uint32(31)
+    for t in range(steps):
+        w = (u24[pos >> 3] >> (shift_base - (pos & 7).astype(np.uint32))) & mask
+        e = table[w if base is None else base + w]
+        out[t] = e
+        pos += e & low5
+    return out
+
+
 def huffman_decode_many(
     blobs: list[bytes | memoryview],
     threads: int | None = None,
@@ -520,15 +436,13 @@ def huffman_decode_many(
         return results  # type: ignore[return-value]
 
     if jit.has("huff_decode"):
-        specs = [spec for _i, spec in streams]
-        if threads is not None and len(specs) > 1:
-            # lazy import: encoding stays import-independent of the
-            # executor layer except on this opt-in threaded branch
-            from repro.core.parallel import pmap
+        # lazy import: encoding stays import-independent of the
+        # executor layer
+        from repro.core.parallel import pmap
 
-            decoded = pmap(_decode_stream_compiled, specs, threads)
-        else:
-            decoded = [_decode_stream_compiled(s) for s in specs]
+        decoded = pmap(
+            _decode_stream_compiled, [spec for _i, spec in streams], threads
+        )
         if all(d is not None for d in decoded):
             for (i, _spec), syms in zip(streams, decoded):
                 results[i] = syms
@@ -556,31 +470,10 @@ def huffman_decode_many(
         meta.append((i, chunk, m, sync.size))
         bit_off += buf.size * 8
 
-    # shared byte buffer; generous tail padding lets the loop run past
-    # stream ends without any per-step clamping (garbage is trimmed)
-    pad = np.zeros(2 * steps + 8, dtype=np.uint8)
-    big = np.concatenate(payload_parts + [pad])
-    # 24-bit windows anchored at every byte: covers any in-byte offset
-    u24 = (
-        (big[:-2].astype(np.uint32) << np.uint32(16))
-        | (big[1:-1].astype(np.uint32) << np.uint32(8))
-        | big[2:].astype(np.uint32)
+    out = _lockstep_walk(
+        payload_parts, np.concatenate(tables), np.concatenate(pos_parts),
+        steps, np.concatenate(base_parts),
     )
-    table = np.concatenate(tables)
-
-    pos = np.concatenate(pos_parts)
-    base = np.concatenate(base_parts)
-    width = pos.size
-    out = np.empty((steps, width), dtype=np.uint32)
-    mask = np.uint32(0xFFFF)
-    shift_base = np.uint32(8)
-    low5 = np.uint32(31)
-    for t in range(steps):
-        w = (u24[pos >> 3] >> (shift_base - (pos & 7).astype(np.uint32))) & mask
-        e = table[base + w]
-        out[t] = e
-        pos += e & low5
-
     col = 0
     for i, chunk, m, nchunks in meta:
         seg = out[:, col : col + nchunks]
@@ -663,23 +556,8 @@ def huffman_decode_range(
     )
     byte0 = first_bit >> 3
     byte1 = min(buf.size, (end_bit + 7) >> 3)
-    pad = np.zeros(2 * steps + 8, dtype=np.uint8)
-    big = np.concatenate([buf[byte0:byte1], pad])
-    u24 = (
-        (big[:-2].astype(np.uint32) << np.uint32(16))
-        | (big[1:-1].astype(np.uint32) << np.uint32(8))
-        | big[2:].astype(np.uint32)
-    )
     pos = sync[first_chunk : last_chunk + 1] - byte0 * 8
-    out = np.empty((steps, nchunks), dtype=np.uint32)
-    mask = np.uint32(0xFFFF)
-    shift_base = np.uint32(8)
-    low5 = np.uint32(31)
-    for t in range(steps):
-        w = (u24[pos >> 3] >> (shift_base - (pos & 7).astype(np.uint32))) & mask
-        e = table[w]
-        out[t] = e
-        pos += e & low5
+    out = _lockstep_walk([buf[byte0:byte1]], table, pos, steps)
     syms = np.ascontiguousarray(out.T).reshape(-1) >> np.uint32(5)
     return syms[lo : lo + count]
 

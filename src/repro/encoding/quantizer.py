@@ -20,9 +20,9 @@ so an encoder that enables it must record the fact in its container
 (the STZ header's f32-quant flag bit) and the decoder must feed the
 recorded flag back to :func:`dequantize` — the formula is never
 guessed from the payload alone, which is what keeps archives written
-by older encoders decoding bit-exactly.  :func:`quantize_many` fuses
-all sub-blocks of an STZ level into one vectorized pass,
-bit-compatible with the per-batch path — see DESIGN.md §2.
+by older encoders decoding bit-exactly.  :func:`quantize_many` and
+:func:`dequantize_many` apply the per-batch functions to every
+sub-block of an STZ level — see DESIGN.md §2.
 """
 
 from __future__ import annotations
@@ -101,14 +101,12 @@ def _f32_mode(dtype: np.dtype, pred_dtype: np.dtype, eb: float, radius: int) -> 
 def _quantize_flat(
     flat: np.ndarray, pflat: np.ndarray, eb: float, radius: int, f32: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared vectorized core of :func:`quantize`/:func:`quantize_many`.
+    """Vectorized core of :func:`quantize`.
 
     Returns ``(codes, outlier_pos, outlier_val, recon)`` over flat
-    inputs.  Element-wise throughout, so quantizing a concatenation of
-    batches is bit-identical to quantizing each batch separately.
-    Non-finite inputs legitimately produce NaN/inf intermediates (they
-    are routed to exact outlier storage), so invalid-op warnings are
-    suppressed for the whole core.
+    inputs.  Non-finite inputs legitimately produce NaN/inf
+    intermediates (they are routed to exact outlier storage), so
+    invalid-op warnings are suppressed for the whole core.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         return _quantize_flat_impl(flat, pflat, eb, radius, f32)
@@ -234,68 +232,30 @@ def quantize_many(
     eb: float,
     radius: int = DEFAULT_RADIUS,
     f32: bool = False,
+    threads: int | None = None,
 ) -> list[QuantizedBatch]:
-    """Quantize several batches in one fused vectorized pass.
+    """:func:`quantize` each batch; all share one error bound and dtype.
 
-    All batches share one error bound and dtype (the sub-blocks of one
-    STZ level, the bands of one wavelet transform, ...).  The batches
-    are concatenated, quantized with a single :func:`_quantize_flat`
-    pass — bit-identical to per-batch :func:`quantize`, since the core
-    is element-wise — and split back, so the numpy dispatch cost of the
-    ~10 vector operations is paid once per level instead of once per
-    sub-block (DESIGN.md §2).  ``f32`` follows the same
-    record-it-in-the-container contract as :func:`quantize`.
+    The batches are the sub-blocks of one STZ level, the bands of one
+    wavelet transform, ...  ``threads`` (optional) maps them across a
+    thread pool — the compiled kernel releases the GIL.  ``f32``
+    follows the same record-it-in-the-container contract as
+    :func:`quantize`.
     """
     if eb <= 0:
         raise ValueError(f"error bound must be > 0, got {eb}")
     if len(values) != len(preds):
         raise ValueError("values and preds list lengths differ")
-    if not values:
-        return []
-    flats = []
-    pflats = []
-    for v, p in zip(values, preds):
-        v = np.asarray(v)
-        p = np.asarray(p)
-        if v.shape != p.shape:
-            raise ValueError("values and pred shapes differ")
-        if v.dtype != p.dtype:
-            raise ValueError(
-                f"values dtype {v.dtype} != pred dtype {p.dtype}"
-            )
-        if v.dtype != np.asarray(values[0]).dtype:
-            raise ValueError("quantize_many requires one common dtype")
-        flats.append(v.reshape(-1))
-        pflats.append(p.reshape(-1))
-    # fusing pays when blocks are small (dispatch amortization); for
-    # large blocks the dispatch is negligible and the concatenate
-    # copies are pure overhead — either way the results are
-    # bit-identical because the core is element-wise
-    sizes = np.array([f.size for f in flats], dtype=np.int64)
-    if len(flats) == 1 or int(sizes.max()) >= (1 << 16):
-        return [
-            QuantizedBatch(*_quantize_flat(f, p, eb, radius, f32), radius)
-            for f, p in zip(flats, pflats)
-        ]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    big_v = np.concatenate(flats)
-    big_p = np.concatenate(pflats)
-    codes, pos, val, recon = _quantize_flat(big_v, big_p, eb, radius, f32)
+    if len({np.asarray(v).dtype for v in values}) > 1:
+        raise ValueError("quantize_many requires one common dtype")
+    # lazy import: encoding stays import-independent of the executor layer
+    from repro.core.parallel import pmap
 
-    cut = np.searchsorted(pos, bounds)
-    out = []
-    for k in range(len(flats)):
-        s, e = int(bounds[k]), int(bounds[k + 1])
-        out.append(
-            QuantizedBatch(
-                codes=codes[s:e],
-                outlier_pos=pos[cut[k] : cut[k + 1]] - s,
-                outlier_val=val[cut[k] : cut[k + 1]],
-                radius=radius,
-                recon=recon[s:e],
-            )
-        )
-    return out
+    return pmap(
+        lambda vp: quantize(vp[0], vp[1], eb, radius, f32),
+        list(zip(values, preds)),
+        threads,
+    )
 
 
 def dequantize_many(
@@ -307,49 +267,14 @@ def dequantize_many(
     radius: int = DEFAULT_RADIUS,
     f32: bool = False,
 ) -> list[np.ndarray]:
-    """Dequantize several batches in one fused vectorized pass.
-
-    The decode-side mirror of :func:`quantize_many`: all batches share
-    one error bound and dtype (the sub-blocks of one STZ level), so the
-    code arithmetic and the reconstruction formula run once over the
-    concatenation and the outlier scatter lands at offset-shifted
-    positions — bit-identical to per-batch :func:`dequantize`, since
-    every operation is element-wise.  The same fusion guard as
-    :func:`quantize_many` applies: large batches skip the concatenate
-    copies (their dispatch cost is already negligible).
-    """
-    if (
-        len(codes) != len(preds)
-        or len(codes) != len(outlier_pos)
-        or len(codes) != len(outlier_val)
+    """:func:`dequantize` each batch; the mirror of :func:`quantize_many`."""
+    if not (
+        len(codes) == len(preds) == len(outlier_pos) == len(outlier_val)
     ):
         raise ValueError("dequantize_many list lengths differ")
-    if not codes:
-        return []
-    pflats = [np.asarray(p).reshape(-1) for p in preds]
-    sizes = np.array([p.size for p in pflats], dtype=np.int64)
-    if len(codes) == 1 or int(sizes.max()) >= (1 << 16):
-        return [
-            dequantize(c, p, eb, pos, val, radius, f32)
-            for c, p, pos, val in zip(codes, pflats, outlier_pos, outlier_val)
-        ]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    big_codes = np.concatenate([np.asarray(c) for c in codes])
-    big_pred = np.concatenate(pflats)
-    big_pos = np.concatenate(
-        [
-            np.asarray(pos, dtype=np.int64) + s
-            for pos, s in zip(outlier_pos, bounds)
-        ]
-    )
-    big_val = (
-        np.concatenate(outlier_val)
-        if any(v.size for v in outlier_val)
-        else np.zeros(0, dtype=big_pred.dtype)
-    )
-    recon = dequantize(big_codes, big_pred, eb, big_pos, big_val, radius, f32)
     return [
-        recon[int(bounds[k]) : int(bounds[k + 1])] for k in range(len(codes))
+        dequantize(c, p, eb, pos, val, radius, f32)
+        for c, p, pos, val in zip(codes, preds, outlier_pos, outlier_val)
     ]
 
 

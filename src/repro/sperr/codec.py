@@ -59,14 +59,13 @@ def _encode_bands(
     radius: int,
     zlib_level: int,
 ) -> list[bytes]:
-    """Quantize + Huffman every resolution level's band, batched.
+    """Quantize + Huffman every resolution level's band.
 
-    Bands cover disjoint coefficient rectangles, so all levels quantize
-    in one fused :func:`quantize_many` pass and entropy-code through
-    one :func:`huffman_encode_many` pack (DESIGN.md §2); per-band
-    payload bytes are unchanged from the per-band path.  The
-    dequantized values are written back into ``coeffs`` so the
-    encoder's outlier pass sees exactly the decoder's reconstruction.
+    Each band (disjoint coefficient rectangles, flattened) quantizes
+    and entropy-codes on its own through :func:`quantize_many` and
+    :func:`huffman_encode_many` (DESIGN.md §2).  The dequantized values
+    are written back into ``coeffs`` so the encoder's outlier pass sees
+    exactly the decoder's reconstruction.
     """
     live = [(i, regions) for i, regions in enumerate(bands) if regions]
     vals = [

@@ -57,10 +57,9 @@ _HEADER = struct.Struct("<4sBBBBdII")
 class _SZ3Stages:
     """Prediction/quantization output of one (sub-)domain, pre-entropy.
 
-    Splitting the pipeline here lets the OMP mode run the
-    prediction-bound stage per chunk in threads and then entropy-code
-    every chunk's symbol stream through one fused
-    :func:`huffman_encode_many` call (DESIGN.md §2).  ``recon`` is the
+    Splitting the pipeline here lets the OMP mode run each stage —
+    prediction and quantization, Huffman, assembly — as its own map
+    over the chunks (DESIGN.md §2).  ``recon`` is the
     decompressor's exact output, so callers embedding SZ3 (the STZ
     level-1 stage) can skip a full decompression round-trip.
     """
@@ -269,10 +268,9 @@ def sz3_compress_omp(
 ) -> bytes:
     """Domain-decomposed parallel compression (reduced CR vs serial).
 
-    The prediction-bound stage runs per chunk in the thread pool; the
-    entropy stage then Huffman-codes every chunk's symbols in one fused
-    :func:`huffman_encode_many` pack.  Each chunk's container is
-    byte-identical to a serial :func:`sz3_compress` of the chunk.
+    Prediction, Huffman coding and assembly each map over the chunks
+    in the thread pool.  Each chunk's container is byte-identical to a
+    serial :func:`sz3_compress` of the chunk.
     """
     data = as_float_array(data)
     abs_eb = resolve_eb(data, eb, eb_mode)
@@ -285,7 +283,7 @@ def sz3_compress_omp(
     stages = pmap(
         lambda c: _sz3_encode(c, abs_eb, interp, radius, f32), chunks, threads
     )
-    huffs = huffman_encode_many([st.codes for st in stages])
+    huffs = huffman_encode_many([st.codes for st in stages], threads=threads)
     blobs = pmap(
         lambda sh: _sz3_assemble(sh[0], sh[1], zlib_level),
         list(zip(stages, huffs)),

@@ -1,9 +1,9 @@
-"""Batched encode path: equivalence with the per-segment primitives.
+"""Level encode path: equivalence with the per-segment primitives.
 
-The level-batched entry points must be drop-in equivalent to their
+The many-batch entry points must be drop-in equivalent to their
 per-segment counterparts: ``huffman_encode_many`` byte-identical to
 ``huffman_encode``, ``quantize_many`` bit-identical to ``quantize``,
-and containers written through the batched pipeline decodable by the
+and containers written through the level pipeline decodable by the
 unchanged reader path.
 """
 
@@ -18,7 +18,7 @@ from conftest import max_err, smooth_field
 from repro.core.config import STZConfig
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.stream import StreamReader
-from repro.encoding.bitstream import pack_bits, pack_codes, pack_codes_at
+from repro.encoding.bitstream import pack_bits, pack_codes
 from repro.encoding.huffman import (
     huffman_decode,
     huffman_encode,
@@ -97,46 +97,6 @@ class TestPackCodesAt:
             b, nb = pack_codes(codes, lens)
             assert na == nb
             assert np.array_equal(a, b)
-
-    def test_multi_stream_scatter(self, rng):
-        """Byte-aligned streams packed in one scatter match per-stream."""
-        streams = [
-            (
-                rng.integers(1, 17, int(rng.integers(1, 500))),
-                rng,
-            )
-            for _ in range(5)
-        ]
-        codes_l, lens_l, starts_l, packed_ref = [], [], [], []
-        bit_base = 0
-        boundaries = []
-        total = 0
-        for lens, _ in streams:
-            codes = (
-                rng.integers(0, 1 << 16, lens.size).astype(np.uint64)
-                & ((np.uint64(1) << lens.astype(np.uint64)) - np.uint64(1))
-            )
-            ref, nbits = pack_codes(codes, lens)
-            packed_ref.append(ref)
-            ends = np.cumsum(lens)
-            boundaries.append(total)
-            codes_l.append(codes.astype(np.uint32))
-            lens_l.append(lens.astype(np.int64))
-            starts_l.append(ends - lens + bit_base)
-            bit_base += 8 * ((nbits + 7) >> 3)
-            total += lens.size
-        nbytes = bit_base >> 3
-        big = pack_codes_at(
-            np.concatenate(codes_l),
-            np.concatenate(lens_l),
-            np.concatenate(starts_l),
-            nbytes,
-            boundaries=np.array(boundaries[1:], dtype=np.int64),
-        )
-        off = 0
-        for ref in packed_ref:
-            assert np.array_equal(big[off : off + ref.size], ref)
-            off += ((ref.size + 0) if ref.size else 0)
 
 
 class TestQuantizeMany:
@@ -265,14 +225,3 @@ class TestEndToEnd:
         for cfg in (STZConfig(f32_quant=False), STZConfig()):
             blob = stz_compress(data, eb, config=cfg)
             assert max_err(stz_decompress(blob), data) <= eb
-
-    def test_per_block_fallback_identical(self, monkeypatch):
-        """The per-block chain (huge levels / threaded mode) must emit
-        the same container as the level-fused path."""
-        import repro.core.pipeline as pipeline
-
-        data = smooth_field((28, 26, 30), seed=13).astype(np.float32)
-        fused = stz_compress(data, 1e-3)
-        monkeypatch.setattr(pipeline, "_LEVEL_FUSE_LIMIT", 0)
-        per_block = stz_compress(data, 1e-3)
-        assert fused == per_block
