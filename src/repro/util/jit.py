@@ -131,7 +131,10 @@ API int64_t NAME(const T *x, const T *p, int64_t n,                     \
         double xd = (double)x[i], pd = (double)p[i];                    \
         double diff = xd - pd;                                          \
         if (!isfinite(diff)) diff = 0.0;                                \
-        double qd = rint(diff / two_eb);                                \
+        /* + 0.0 normalizes -0.0 bins: the decoder (and the NumPy   \
+           reference) rebuild the bin from the integer code, so the \
+           tracked recon must match it down to the sign of zero */  \
+        double qd = rint(diff / two_eb) + 0.0;                          \
         int ok = 0;                                                     \
         T rt = (T)0;                                                    \
         if (fabs(qd) < dradius) {                                       \

@@ -138,6 +138,16 @@ def test_huffman_many_identity_seeded(seed):
     check_huffman_many_identity(streams)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("f32", [False, True], ids=["f64path", "f32path"])
+def test_quantizer_negative_zero_bin(dtype, f32):
+    # rint(-0.5) is -0.0; with pred = -0.0 the tracked recon must still
+    # be the decoder's +0.0 (it rebuilds the bin from the integer code)
+    values = np.array([-1.0, -0.0, 1.0], dtype=dtype)
+    pred = np.array([-0.0, -0.0, -0.0], dtype=dtype)
+    check_quantizer_roundtrip(values, pred, 1.0, 4, f32)
+
+
 def test_quantizer_rejects_nonpositive_eb():
     v = np.zeros(4, dtype=np.float32)
     with pytest.raises(ValueError):
