@@ -57,7 +57,6 @@ import io
 import mmap
 import zlib
 from multiprocessing import shared_memory
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -632,21 +631,6 @@ def _decode_worker(state, index: int) -> "ChunkCorruptionError | None":
     return None
 
 
-def _worker_source(
-    reader: ShardedReader, source
-) -> "bytes | memoryview | str":
-    """What a pool worker reads payloads from: the in-memory buffer
-    (zero-copy via fork/thread sharing) or the archive's file path.
-    File objects without a real path are drained into memory once."""
-    if reader._buf is not None:
-        return reader._buf
-    name = getattr(reader._file, "name", None)
-    if isinstance(name, (str, Path)) and Path(name).is_file():
-        return str(name)
-    reader._file.seek(0)
-    return reader._file.read()
-
-
 def decompress_chunked(
     source: "bytes | memoryview | io.IOBase | ShardedReader",
     out: np.ndarray | None = None,
@@ -742,7 +726,7 @@ def decompress_chunked(
         target[...] = out
     try:
         state = (
-            _worker_source(reader, source),
+            reader.worker_source(),
             reader.chunks,
             plan,
             target,

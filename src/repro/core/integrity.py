@@ -33,29 +33,27 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.core.stream import (
-    _DIGEST,
     _FLAG_BYTE_OFFSET,
     _FLAG_CHECKSUM,
-    _MULTI_FIXED,
+    _MULTI,
     _RECORD,
-    _SHARD_FIXED,
+    _SHARD,
     CODEC_NAMES,
-    FRAME_CHECKSUM,
     MAGIC,
-    MULTI_CODEC,
     MULTI_MAGIC,
-    MULTI_RECOVER,
     MultiFrameReader,
     MultiFrameWriter,
     RECORD_MAGIC,
     SELECT_CHECKSUM,
     SELECT_MAGIC,
     SHARD_MAGIC,
-    SHARD_RECOVER,
     ShardedReader,
     ShardedWriter,
+    _multi_head,
+    _peek_magic,
+    _shard_head,
+    _Source,
 )
-from repro.util.validation import dtype_from_code
 
 __all__ = [
     "ChunkCorruptionError",
@@ -228,91 +226,42 @@ def _digest_unit(blob: memoryview, reader) -> UnitStatus:
     )
 
 
-def _verify_sharded_units(blob: memoryview) -> list[UnitStatus]:
-    """Per-chunk + digest statuses of a v3 archive (shared between the
-    top-level scrub and the recursive scrub of sharded v2 frames)."""
+def _verify_table(
+    blob: memoryview, reader_cls: type[MultiFrameReader | ShardedReader]
+) -> list[UnitStatus]:
+    """Per-unit + digest statuses of a v2 or v3 archive.  A sharded
+    frame is a whole v3 archive: its chunks are scrubbed too, annotated
+    with the frame they belong to."""
     try:
-        reader = ShardedReader(blob)
+        reader = reader_cls(blob)
     except ValueError as exc:
         return [UnitStatus("archive", None, "corrupt", str(exc))]
-    units = []
-    for entry in reader.chunks:
+    kind = reader._fmt.unit
+    units: list[UnitStatus] = []
+    for entry in reader._entries:
         try:
-            payload = reader.read_chunk(entry.index)
+            payload = reader._read_entry(entry.index)
         except ValueError as exc:
             units.append(
-                UnitStatus("chunk", entry.index, "corrupt", str(exc), entry.codec)
+                UnitStatus(kind, entry.index, "corrupt", str(exc), entry.codec)
             )
             continue
         if not entry.has_checksum:
-            units.append(
-                UnitStatus("chunk", entry.index, "unchecked", "", entry.codec)
-            )
+            status, detail = "unchecked", ""
         elif _crc(payload) == entry.crc:
-            units.append(UnitStatus("chunk", entry.index, "ok", "", entry.codec))
+            status, detail = "ok", ""
         else:
-            units.append(
-                UnitStatus(
-                    "chunk",
-                    entry.index,
-                    "corrupt",
-                    "payload checksum mismatch",
-                    entry.codec,
+            status, detail = "corrupt", "payload checksum mismatch"
+        units.append(UnitStatus(kind, entry.index, status, detail, entry.codec))
+        if kind == "frame" and entry.is_sharded and status != "corrupt":
+            where = f"frame {entry.index}"
+            for u in _verify_table(memoryview(payload), ShardedReader):
+                detail = f"{where}: {u.detail}" if u.detail else where
+                units.append(
+                    UnitStatus(u.kind, u.index, u.status, detail, u.codec)
                 )
-            )
     units.append(_digest_unit(blob, reader))
     return units
-
-
-def _verify_multiframe(blob: memoryview) -> VerifyReport:
-    try:
-        reader = MultiFrameReader(blob)
-    except ValueError as exc:
-        return VerifyReport(
-            "multiframe", (UnitStatus("archive", None, "corrupt", str(exc)),)
-        )
-    units: list[UnitStatus] = []
-    for info in reader.frames:
-        try:
-            payload = reader.read_frame(info.index)
-        except ValueError as exc:
-            units.append(
-                UnitStatus("frame", info.index, "corrupt", str(exc), info.codec)
-            )
-            continue
-        if info.has_checksum:
-            if _crc(payload) == info.crc:
-                status = UnitStatus("frame", info.index, "ok", "", info.codec)
-            else:
-                status = UnitStatus(
-                    "frame",
-                    info.index,
-                    "corrupt",
-                    "payload checksum mismatch",
-                    info.codec,
-                )
-        else:
-            status = UnitStatus("frame", info.index, "unchecked", "", info.codec)
-        units.append(status)
-        if info.is_sharded and status.status != "corrupt":
-            # a sharded frame is a whole v3 archive: scrub its chunks
-            # too, annotated with the frame they belong to
-            for u in _verify_sharded_units(memoryview(payload)):
-                units.append(
-                    UnitStatus(
-                        u.kind,
-                        u.index,
-                        u.status,
-                        (
-                            f"frame {info.index}: {u.detail}"
-                            if u.detail
-                            else f"frame {info.index}"
-                        ),
-                        u.codec,
-                    )
-                )
-    units.append(_digest_unit(blob, reader))
-    return VerifyReport("multiframe", tuple(units))
 
 
 def verify_archive(source: bytes | bytearray | memoryview) -> VerifyReport:
@@ -324,11 +273,15 @@ def verify_archive(source: bytes | bytearray | memoryview) -> VerifyReport:
     ``report.ok`` still true — absence of checksums is not corruption.
     """
     blob = memoryview(source)
-    magic = bytes(blob[:4])
+    magic = _peek_magic(blob)
     if magic == MULTI_MAGIC:
-        return _verify_multiframe(blob)
+        return VerifyReport(
+            "multiframe", tuple(_verify_table(blob, MultiFrameReader))
+        )
     if magic == SHARD_MAGIC:
-        return VerifyReport("sharded", tuple(_verify_sharded_units(blob)))
+        return VerifyReport(
+            "sharded", tuple(_verify_table(blob, ShardedReader))
+        )
     if magic == MAGIC:
         return _verify_single(blob, "stz1")
     if magic == SELECT_MAGIC:
@@ -402,88 +355,57 @@ def repair_archive(source: bytes | bytearray | memoryview) -> tuple[
     """Rebuild a recoverable archive's table/trailer by forward scan.
 
     Only archives written with ``recoverable=True`` carry the per-unit
-    'STZR' records the scan needs; anything else raises.  Multi-frame
-    streams are salvaged up to the last complete frame.  Sharded
-    archives can only be repaired when *every* chunk survived (a v3
-    archive is one array — the chunk table must cover the whole plan),
-    which handles the lost-trailer crash but not payload loss.
+    'STZR' records the scan needs; anything else raises, and so does a
+    head the readers would reject (another magic, an unknown version or
+    unknown flag bits).  Multi-frame streams are salvaged up to the last
+    complete frame.  Sharded archives can only be repaired when *every*
+    chunk survived (a v3 archive is one array — the chunk table must
+    cover the whole plan), which handles the lost-trailer crash but not
+    payload loss.
     """
     blob = memoryview(source)
-    magic = bytes(blob[:4])
+    magic = _peek_magic(blob)
     if magic == MULTI_MAGIC:
-        if len(blob) < _MULTI_FIXED.size:
-            raise ValueError("multi-frame head truncated; unrecoverable")
-        _, version, flags, _ = _MULTI_FIXED.unpack(blob[: _MULTI_FIXED.size])
-        if not flags & MULTI_RECOVER:
-            raise ValueError(
-                "archive was not written in recoverable mode (no 'STZR' "
-                "records to scan); only recoverable=True archives can be "
-                "repaired"
-            )
-        recovered = _scan_records(blob, _MULTI_FIXED.size)
-        if not recovered:
-            raise ValueError("no complete frames could be recovered")
-        writer = MultiFrameWriter(
-            flags=flags & MULTI_CODEC, checksum=True, recoverable=True
-        )
-        for payload, fflags, codec_id in recovered:
-            # the writer re-derives the checksum flag and CRC itself —
-            # that is what makes the rebuild byte-exact vs. a reference
-            # archive of the same frames
-            writer.add_frame(payload, fflags & ~FRAME_CHECKSUM, codec_id)
-        rebuilt = writer.getvalue()
-        return rebuilt, RepairReport(
-            "multiframe",
-            len(recovered),
-            len(blob),
-            len(rebuilt),
-            intact=rebuilt == bytes(blob),
-        )
-    if magic == SHARD_MAGIC:
-        if len(blob) < _SHARD_FIXED.size:
-            raise ValueError("sharded head truncated; unrecoverable")
-        _, version, flags, dt, ndim = _SHARD_FIXED.unpack(
-            blob[: _SHARD_FIXED.size]
-        )
-        head_size = _SHARD_FIXED.size + 16 * ndim
-        if len(blob) < head_size:
-            raise ValueError("sharded head truncated; unrecoverable")
-        if not flags & SHARD_RECOVER:
-            raise ValueError(
-                "archive was not written in recoverable mode (no 'STZR' "
-                "records to scan); only recoverable=True archives can be "
-                "repaired"
-            )
-        dims = struct.unpack(
-            f"<{2 * ndim}Q", blob[_SHARD_FIXED.size : head_size]
-        )
-        shape, chunk_shape = dims[:ndim], dims[ndim:]
-        recovered = _scan_records(blob, head_size)
+        fmt, name = _MULTI, "multiframe"
+        flags, start = _multi_head(_Source(blob, fmt.name))
+        writer = MultiFrameWriter(flags=flags)
+    elif magic == SHARD_MAGIC:
+        fmt, name = _SHARD, "sharded"
+        flags, start, dtype, plan = _shard_head(_Source(blob, fmt.name))
         writer = ShardedWriter(
-            shape,
-            dtype_from_code(dt),
-            chunk_shape,
-            checksum=True,
-            recoverable=True,
+            plan.shape, dtype, plan.chunk_shape, flags=flags
         )
-        if len(recovered) != writer.plan.nchunks:
-            raise ValueError(
-                f"only {len(recovered)} of {writer.plan.nchunks} chunks "
-                "recoverable; a sharded archive is one array and cannot "
-                "be partially rebuilt (use on_error='fill' decode for "
-                "partial extraction instead)"
-            )
-        for payload, _fflags, codec_id in recovered:
-            writer.add_chunk(payload, codec_id)
-        rebuilt = writer.getvalue()
-        return rebuilt, RepairReport(
-            "sharded",
-            len(recovered),
-            len(blob),
-            len(rebuilt),
-            intact=rebuilt == bytes(blob),
+    else:
+        raise ValueError(
+            "repair applies to multi-frame ('STZM') and sharded ('STZS') "
+            "archives; single-array containers have no table to rebuild"
         )
-    raise ValueError(
-        "repair applies to multi-frame ('STZM') and sharded ('STZS') "
-        "archives; single-array containers have no table to rebuild"
+    if not flags & fmt.recover_flag:
+        raise ValueError(
+            "archive was not written in recoverable mode (no 'STZR' "
+            "records to scan); only recoverable=True archives can be "
+            "repaired"
+        )
+    recovered = _scan_records(blob, start)
+    if fmt is _SHARD and len(recovered) != plan.nchunks:
+        raise ValueError(
+            f"only {len(recovered)} of {plan.nchunks} chunks "
+            "recoverable; a sharded archive is one array and cannot "
+            "be partially rebuilt (use on_error='fill' decode for "
+            "partial extraction instead)"
+        )
+    if not recovered:
+        raise ValueError("no complete frames could be recovered")
+    for payload, unit_flags, codec_id in recovered:
+        # the writer re-derives the checksum flag and CRC itself —
+        # that is what makes the rebuild byte-exact vs. a reference
+        # archive of the same units
+        writer._append(payload, unit_flags & ~fmt.unit_checksum, codec_id)
+    rebuilt = writer.getvalue()
+    return rebuilt, RepairReport(
+        name,
+        len(recovered),
+        len(blob),
+        len(rebuilt),
+        intact=rebuilt == bytes(blob),
     )

@@ -32,7 +32,8 @@ streaming subsystem (:mod:`repro.core.streaming`).  Layout::
 
     magic 'STZM' | u8 version | u8 flags | u16 reserved
     frame payloads back to back (each a full STZ1 container)
-    frame table: nframes x { u64 offset, u64 length, u8 flags, 7 pad }
+    frame table: nframes x { u64 offset, u64 length, u8 flags,
+                             u8 codec, u32 crc, 2 pad }
     trailer: u64 table_offset | u32 nframes | magic 'STZE'
 
 The frame table lives at the *end*, located through the fixed-size
@@ -75,7 +76,7 @@ exactly what the single-array writers produce for that chunk.  Layout::
     magic 'STZS' | u8 version | u8 flags | u8 dtype | u8 ndim
     u64 shape[ndim] | u64 chunk_shape[ndim]
     chunk payloads back to back, in plan (C) order
-    chunk table: nchunks x { u64 offset, u64 length, u8 flags, u8 codec }
+    chunk table: nchunks x the v2 frame-table row
     trailer: u64 table_offset | u32 nchunks | magic 'STZE'
 
 The chunk grid is *derived* from ``(shape, chunk_shape)`` — both sides
@@ -84,14 +85,16 @@ table stores only per-chunk byte extents plus the codec id that encoded
 the chunk's payload (0 = a plain STZ1 blob; anything else means the
 payload is an 'STZC' envelope whose inner codec matches the byte — the
 table is how ``stz info`` and the parallel decoder route without
-parsing payloads).  The table-at-the-end/trailer geometry mirrors v2:
-the writer only ever appends, so out-of-core compression streams chunk
-blobs straight to any append-only sink with O(1 chunk) writer memory,
-and the reader's chunk-granular random access reads exactly the chunks
-a query touches.  Unknown container flags, unknown per-chunk flags and
-unknown codec ids are all rejected at open — same policy, same reason,
-as every flag field above; v1/v2 readers reject v3 archives cleanly by
-magic (and pre-v3 builds never parse past it).
+parsing payloads).  Everything after the head is v2's table, digest
+and trailer, written and parsed by the same core
+(:class:`_TableWriter`, :class:`_TableReader`): the writer only ever
+appends, so out-of-core compression streams chunk blobs straight to any
+append-only sink with O(1 chunk) writer memory, and the reader's
+chunk-granular random access reads exactly the chunks a query touches.
+Unknown container flags, unknown per-chunk flags and unknown codec ids
+are all rejected at open — same policy, same reason, as every flag
+field above; v1/v2 readers reject v3 archives cleanly by magic (and
+pre-v3 builds never parse past it).
 
 **Integrity and crash recovery** (DESIGN.md §9) ride on the same
 flag-bit evolution pattern, in three independent, writer-opt-in layers:
@@ -133,6 +136,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -269,23 +273,21 @@ _FIXED = struct.Struct("<4sBBBBBBBBddII")
 _SEG = struct.Struct("<BBBBQQ")
 _MULTI_FIXED = struct.Struct("<4sBBH")
 _MULTI_TRAILER = struct.Struct("<QI4s")
-#: the codec byte sits where a zero pad byte used to: old rows parse
-#: identically (codec 0 = STZ) and all-STZ tables stay byte-exact.
-#: The crc field reuses 4 more of the original pad bytes the same way:
-#: pre-checksum rows parse as crc 0 with the checksum flag unset.
-_FRAME = struct.Struct("<QQBBI2x")
-#: numpy mirror of ``_FRAME`` — table emitted/parsed in one shot
+#: the v2 frame-table and v3 chunk-table row, ``<QQBBI2x``: offset,
+#: length, flags, codec id, crc, 2 zero pad bytes — emitted and parsed
+#: in one shot.  The codec byte sits where a zero pad byte used to: old
+#: rows parse identically (codec 0 = STZ) and all-STZ tables stay
+#: byte-exact.  The crc field reuses 4 more of the original pad bytes
+#: the same way: pre-checksum rows parse as crc 0 with the checksum
+#: flag unset.
 _FRAME_DTYPE = np.dtype(
-    [
-        ("offset", "<u8"),
-        ("length", "<u8"),
-        ("flags", "u1"),
-        ("codec", "u1"),
-        ("crc", "<u4"),
-        ("pad", "u1", (2,)),
-    ]
+    {
+        "names": ["offset", "length", "flags", "codec", "crc"],
+        "formats": ["<u8", "<u8", "u1", "u1", "<u4"],
+        "offsets": [0, 8, 16, 17, 18],
+        "itemsize": 24,
+    }
 )
-assert _FRAME_DTYPE.itemsize == _FRAME.size
 
 #: whole-archive digest block (v2/v3, gated by MULTI_CHECKSUM /
 #: SHARD_CHECKSUM): CRC32 of every container byte before this block,
@@ -333,7 +335,7 @@ def add_archive_checksum(blob: bytes | memoryview) -> bytes:
     Idempotent on already-checksummed archives.
     """
     buf = bytearray(blob)
-    magic = bytes(buf[:4])
+    magic = _peek_magic(buf)
     if magic == MAGIC:
         off, bit = _FLAG_BYTE_OFFSET[MAGIC], _FLAG_CHECKSUM
     elif magic == SELECT_MAGIC:
@@ -373,6 +375,82 @@ def eps_to_mask(eps: Offset) -> int:
 
 def mask_to_eps(mask: int, ndim: int) -> Offset:
     return tuple((mask >> a) & 1 for a in range(ndim))
+
+
+def _peek_magic(source: bytes | bytearray | memoryview | io.IOBase) -> bytes:
+    """The first four bytes of ``source``; file sources are restored to
+    their prior position, so sniffing is safe before handing the object
+    to any reader."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return bytes(memoryview(source)[:4])
+    pos = source.tell()
+    head = source.read(4)
+    source.seek(pos)
+    return head
+
+
+#: what a reader handed another container's magic says instead of a
+#: bare "not an X container" — the pointer at the right opener
+_WRONG_MAGIC = {
+    MAGIC: "single-frame STZ container; open it with StreamReader",
+    MULTI_MAGIC: (
+        "multi-frame STZ container; open it with "
+        "MultiFrameReader / the streaming API"
+    ),
+    SELECT_MAGIC: (
+        "codec-selected container; open it with repro.core.api.decompress"
+    ),
+    SHARD_MAGIC: (
+        "sharded (chunked, container v3) archive; open it "
+        "with ShardedReader / repro.core.api.decompress"
+    ),
+}
+
+
+class _Source:
+    """Where a reader's bytes come from: an in-memory buffer, served as
+    zero-copy ``memoryview`` slices, or a seekable binary file read on
+    demand — so untouched units are never read."""
+
+    def __init__(self, source: bytes | memoryview | io.IOBase, what: str):
+        self._what = what  # names the container in truncation errors
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            self._buf: memoryview | None = memoryview(source)
+            self._file: io.IOBase | None = None
+        else:
+            self._buf = None
+            self._file = source
+
+    def _truncated(self) -> ValueError:
+        return ValueError(f"truncated {self._what} container")
+
+    def _size(self) -> int:
+        if self._buf is not None:
+            return len(self._buf)
+        return self._file.seek(0, io.SEEK_END)
+
+    def _read_at(self, offset: int, length: int) -> bytes | memoryview:
+        if self._buf is not None:
+            if offset + length > len(self._buf):
+                raise self._truncated()
+            return self._buf[offset : offset + length]
+        self._file.seek(offset)
+        data = self._file.read(length)
+        if len(data) != length:
+            raise self._truncated()
+        return data
+
+    def worker_source(self) -> bytes | memoryview | str:
+        """What a pool worker reads payloads from: the in-memory buffer
+        (zero-copy via fork/thread sharing) or the archive's file path.
+        File objects without a real path are drained into memory once."""
+        if self._buf is not None:
+            return self._buf
+        name = getattr(self._file, "name", None)
+        if isinstance(name, (str, Path)) and Path(name).is_file():
+            return str(name)
+        self._file.seek(0)
+        return self._file.read()
 
 
 @dataclass(frozen=True)
@@ -489,7 +567,7 @@ class StreamWriter:
         return b"".join([fixed, shape_bytes, table.tobytes(), self._body])
 
 
-class StreamReader:
+class StreamReader(_Source):
     """Parses the header/table and reads segments lazily.
 
     Accepts in-memory bytes or a binary file object; file mode seeks to
@@ -498,12 +576,7 @@ class StreamReader:
     """
 
     def __init__(self, source: bytes | memoryview | io.IOBase):
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._buf: memoryview | None = memoryview(source)
-            self._file: io.IOBase | None = None
-        else:
-            self._buf = None
-            self._file = source
+        super().__init__(source, "STZ")
         head = self._read_at(0, _FIXED.size)
         (
             magic,
@@ -521,22 +594,7 @@ class StreamReader:
             nseg,
         ) = _FIXED.unpack(head)
         if magic != MAGIC:
-            if magic == MULTI_MAGIC:
-                raise ValueError(
-                    "multi-frame STZ container; open it with "
-                    "MultiFrameReader / the streaming API"
-                )
-            if magic == SELECT_MAGIC:
-                raise ValueError(
-                    "codec-selected container; open it with "
-                    "repro.core.api.decompress"
-                )
-            if magic == SHARD_MAGIC:
-                raise ValueError(
-                    "sharded (chunked, container v3) archive; open it "
-                    "with ShardedReader / repro.core.api.decompress"
-                )
-            raise ValueError("not an STZ container")
+            raise ValueError(_WRONG_MAGIC.get(magic, "not an STZ container"))
         if version != VERSION:
             raise ValueError(f"unsupported STZ container version {version}")
         if flags & ~_KNOWN_FLAGS:
@@ -582,17 +640,6 @@ class StreamReader:
         )
         self.bytes_read = 0  # payload bytes actually fetched
 
-    def _read_at(self, offset: int, length: int) -> bytes | memoryview:
-        if self._buf is not None:
-            if offset + length > len(self._buf):
-                raise ValueError("truncated STZ container")
-            return self._buf[offset : offset + length]
-        self._file.seek(offset)
-        data = self._file.read(length)
-        if len(data) != length:
-            raise ValueError("truncated STZ container")
-        return data
-
     def read_segment(self, seg: SegmentInfo) -> bytes | memoryview:
         """Fetch one segment's payload.
 
@@ -603,6 +650,237 @@ class StreamReader:
         """
         self.bytes_read += seg.length
         return self._read_at(self._payload_start + seg.offset, seg.length)
+
+
+# ---------------------------------------------------------------------------
+# the table core shared by container v2 (multi-frame) and v3 (sharded)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _TableFormat:
+    """What a table container's head decides.  Everything after the
+    head — payloads, 'STZR' records, the ``_FRAME_DTYPE`` table, the
+    digest and the 'STZE' trailer — is the same in v2 and v3, written
+    by :class:`_TableWriter` and parsed by :class:`_TableReader`."""
+
+    magic: bytes
+    version: int
+    name: str  # the container, as error messages name it
+    flags: int  # container flag bits this reader understands
+    checksum_flag: int  # container bit: row CRCs + whole-archive digest
+    recover_flag: int  # container bit: an 'STZR' record per payload
+    unit: str  # what one table row describes: "frame" | "chunk"
+    row: type  # the row class: FrameInfo | ChunkEntry
+    unit_flags: int  # per-row flag bits this reader understands
+    unit_checksum: int  # per-row bit: the row's crc field is valid
+
+    def check_head(self, magic: bytes, version: int, flags: int) -> None:
+        """Reject another container's magic, an unknown version and
+        unknown container flag bits (they may change decode semantics)."""
+        if magic != self.magic:
+            raise ValueError(
+                _WRONG_MAGIC.get(magic, f"not a {self.name} container")
+            )
+        if version != self.version:
+            raise ValueError(
+                f"unsupported {self.name} container version {version}"
+            )
+        if flags & ~self.flags:
+            raise ValueError(
+                "container uses unknown feature flags "
+                f"0x{flags & ~self.flags:02x}; upgrade the reader"
+            )
+
+
+class _TableWriter:
+    """Append-only writer core of the table containers.
+
+    Unit payloads are written to ``sink`` as they arrive; only their
+    24-byte table rows are retained, so writer memory is O(1 unit).
+    The table, digest and trailer land at the end on :meth:`finalize`,
+    so the sink is never seeked: any append-only byte sink works.  With
+    no ``sink`` an in-memory buffer is used and :meth:`getvalue`
+    returns the archive bytes.
+    """
+
+    _fmt: _TableFormat
+
+    def __init__(
+        self,
+        sink: io.IOBase | None,
+        flags: int,
+        checksum: bool,
+        recoverable: bool,
+    ):
+        fmt = self._fmt
+        if flags & ~fmt.flags:
+            raise ValueError(f"unknown container flags 0x{flags:02x}")
+        # flag bits and keyword arguments are equivalent spellings: a
+        # checksum bit without checksum behaviour would produce an
+        # archive whose geometry contradicts its own flags
+        self.recoverable = recoverable or bool(flags & fmt.recover_flag)
+        self.checksum = (
+            checksum or self.recoverable or bool(flags & fmt.checksum_flag)
+        )
+        if self.checksum:
+            flags |= fmt.checksum_flag
+        if self.recoverable:
+            flags |= fmt.recover_flag
+        self.flags = flags
+        self._own = sink is None
+        self._sink: io.IOBase = io.BytesIO() if sink is None else sink
+        self._pos = 0
+        self._digest = 0
+        self._rows: list[tuple[int, int, int, int, int]] = []
+        self._finalized = False
+
+    def _write(self, data: bytes | memoryview) -> None:
+        """Append ``data``, tracking position and the running digest."""
+        self._sink.write(data)
+        self._pos += len(data)
+        if self.checksum:
+            self._digest = zlib.crc32(data, self._digest)
+
+    @property
+    def in_memory(self) -> bool:
+        """Whether the writer owns an in-memory sink (:meth:`getvalue`
+        is only valid then)."""
+        return self._own
+
+    def _check_unit(self, codec_id: int) -> None:
+        """What the head adds to admitting the next unit (a hook)."""
+
+    def _append(self, payload: bytes | memoryview, flags: int, codec_id: int):
+        """Append one unit; returns its table entry."""
+        fmt = self._fmt
+        if self._finalized:
+            raise ValueError("archive already finalized")
+        if flags & ~fmt.unit_flags:
+            raise ValueError(f"unknown {fmt.unit} flags 0x{flags:02x}")
+        if codec_id not in CODEC_NAMES:
+            raise ValueError(f"unknown codec id {codec_id}")
+        self._check_unit(codec_id)
+        crc = 0
+        if self.checksum:
+            crc = zlib.crc32(payload)
+            flags |= fmt.unit_checksum
+        if self.recoverable:
+            # the record carries everything the table row would — a
+            # forward scan can rebuild the table byte-exactly from the
+            # records alone (integrity.repair_archive)
+            self._write(
+                _RECORD.pack(RECORD_MAGIC, len(payload), crc, flags, codec_id)
+            )
+        row = (self._pos, len(payload), flags, codec_id, crc)
+        self._rows.append(row)
+        self._write(payload)
+        return fmt.row(len(self._rows) - 1, *row)
+
+    def finalize(self) -> None:
+        """Write the table, the digest (checksummed writers) and the
+        trailer (idempotent)."""
+        if self._finalized:
+            return
+        table = np.zeros(len(self._rows), dtype=_FRAME_DTYPE)
+        for name, column in zip(_FRAME_DTYPE.names, zip(*self._rows)):
+            table[name] = column
+        table_off = self._pos
+        self._write(table.tobytes())
+        if self.checksum:
+            # digest of every byte written so far (head through table);
+            # written raw — it cannot cover itself
+            self._sink.write(_DIGEST.pack(self._digest))
+        self._sink.write(
+            _MULTI_TRAILER.pack(table_off, len(self._rows), MULTI_END_MAGIC)
+        )
+        self._finalized = True
+
+    def getvalue(self) -> bytes:
+        """The finished archive (in-memory sinks only)."""
+        if not self._own:
+            raise ValueError("writer streams to an external sink")
+        self.finalize()
+        return self._sink.getvalue()
+
+
+class _TableReader(_Source):
+    """Random-access reader core of the table containers.
+
+    Opening parses the head (the container's own), the 16-byte trailer,
+    the digest and the table; unit payloads are fetched on demand, so
+    random access to unit ``k`` of a file archive reads exactly that
+    unit's bytes.  Unknown container flags, per-unit flags and codec
+    ids are rejected at open (they may change decode semantics — see
+    the module docstring).
+    """
+
+    _fmt: _TableFormat
+
+    def __init__(self, source: bytes | memoryview | io.IOBase):
+        super().__init__(source, self._fmt.name)
+
+    def _open_table(self, start: int) -> None:
+        """Parse what follows a ``start``-byte head (``self.flags`` set)."""
+        fmt = self._fmt
+        total = self._size()
+        if total < start + _MULTI_TRAILER.size:
+            raise self._truncated()
+        table_off, n, end_magic = _MULTI_TRAILER.unpack(
+            self._read_at(total - _MULTI_TRAILER.size, _MULTI_TRAILER.size)
+        )
+        if end_magic != MULTI_END_MAGIC:
+            raise self._truncated()
+        self.has_digest = bool(self.flags & fmt.checksum_flag)
+        #: where the whole-archive digest coverage ends (== digest block
+        #: start when has_digest) — verify_archive checks CRC32 of
+        #: bytes [0, digest_offset) against stored_digest
+        self.digest_offset = table_off + _FRAME_DTYPE.itemsize * n
+        extra = _DIGEST.size if self.has_digest else 0
+        if self.digest_offset + extra + _MULTI_TRAILER.size != total:
+            raise ValueError(f"corrupt {fmt.name} table geometry")
+        self.stored_digest: int | None = None
+        if self.has_digest:
+            (self.stored_digest,) = _DIGEST.unpack(
+                self._read_at(self.digest_offset, _DIGEST.size)
+            )
+        table = np.frombuffer(
+            self._read_at(table_off, self.digest_offset - table_off),
+            dtype=_FRAME_DTYPE,
+        )
+        columns = (table[name].tolist() for name in _FRAME_DTYPE.names)
+        self._entries = tuple(
+            fmt.row(i, *row) for i, row in enumerate(zip(*columns))
+        )
+        unit = fmt.unit
+        for e in self._entries:
+            if e.flags & ~fmt.unit_flags:
+                raise ValueError(
+                    f"{unit} {e.index} uses unknown {unit} flags "
+                    f"0x{e.flags & ~fmt.unit_flags:02x}; upgrade the reader"
+                )
+            if e.codec_id not in CODEC_NAMES:
+                raise ValueError(
+                    f"{unit} {e.index} uses unknown codec id "
+                    f"{e.codec_id}; upgrade the reader"
+                )
+            if e.offset + e.length > table_off:
+                raise ValueError(f"corrupt {fmt.name} table geometry")
+        self.bytes_read = 0  # unit payload bytes actually fetched
+
+    def _entry(self, index: int):
+        """The table entry of unit ``index``."""
+        if not (0 <= index < len(self._entries)):
+            raise IndexError(
+                f"{self._fmt.unit} index {index} out of range "
+                f"[0, {len(self._entries)})"
+            )
+        return self._entries[index]
+
+    def _read_entry(self, index: int) -> bytes | memoryview:
+        """The payload of unit ``index`` (zero-copy in memory)."""
+        entry = self._entry(index)
+        self.bytes_read += entry.length
+        return self._read_at(entry.offset, entry.length)
 
 
 # ---------------------------------------------------------------------------
@@ -651,24 +929,38 @@ def is_multiframe(source: bytes | memoryview | io.IOBase) -> bool:
     File sources are restored to their prior position, so sniffing is
     safe before handing the object to either reader.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(memoryview(source)[:4]) == MULTI_MAGIC
-    pos = source.tell()
-    head = source.read(4)
-    source.seek(pos)
-    return head == MULTI_MAGIC
+    return _peek_magic(source) == MULTI_MAGIC
 
 
-class MultiFrameWriter:
+_MULTI = _TableFormat(
+    MULTI_MAGIC,
+    MULTI_VERSION,
+    "multi-frame STZ",
+    _KNOWN_MULTI_FLAGS,
+    MULTI_CHECKSUM,
+    MULTI_RECOVER,
+    "frame",
+    FrameInfo,
+    _KNOWN_FRAME_FLAGS,
+    FRAME_CHECKSUM,
+)
+
+
+def _multi_head(src: _Source) -> tuple[int, int]:
+    """Parse and check the 'STZM' head: (container flags, head size)."""
+    magic, version, flags, _ = _MULTI_FIXED.unpack(
+        src._read_at(0, _MULTI_FIXED.size)
+    )
+    _MULTI.check_head(magic, version, flags)
+    return flags, _MULTI_FIXED.size
+
+
+class MultiFrameWriter(_TableWriter):
     """Append-only writer for multi-frame (container v2) archives.
 
     Frames — complete STZ1 blobs — are written to ``sink`` as they
-    arrive; only the per-frame table rows (24 bytes each) are retained,
-    so writer memory is O(1 frame) regardless of stream length.  The
-    table and trailer land at the end on :meth:`finalize`, which means
-    the sink is never seeked: any append-only byte sink works.  With no
-    ``sink`` an in-memory buffer is used and :meth:`getvalue` returns
-    the archive bytes.
+    arrive, with O(1 frame) writer memory regardless of stream length
+    (see :class:`_TableWriter`).
 
     ``checksum=True`` records a CRC32 per frame plus a whole-archive
     digest; ``recoverable=True`` (implies ``checksum``) additionally
@@ -677,6 +969,8 @@ class MultiFrameWriter:
     :meth:`finalize` — see the module docstring and DESIGN.md §9.
     """
 
+    _fmt = _MULTI
+
     def __init__(
         self,
         sink: io.IOBase | None = None,
@@ -684,48 +978,23 @@ class MultiFrameWriter:
         checksum: bool = False,
         recoverable: bool = False,
     ):
-        if flags & ~_KNOWN_MULTI_FLAGS:
-            raise ValueError(f"unknown container flags 0x{flags:02x}")
-        # flag bits and keyword arguments are equivalent spellings: a
-        # checksum bit without checksum behaviour would produce an
-        # archive whose geometry contradicts its own flags
-        recoverable = recoverable or bool(flags & MULTI_RECOVER)
-        checksum = checksum or recoverable or bool(flags & MULTI_CHECKSUM)
-        if checksum:
-            flags |= MULTI_CHECKSUM
-        if recoverable:
-            flags |= MULTI_RECOVER
-        self.checksum = checksum
-        self.recoverable = recoverable
-        self._own = sink is None
-        self._sink: io.IOBase = io.BytesIO() if sink is None else sink
-        self.flags = flags
-        self._pos = 0
-        self._digest = 0
-        self._write(_MULTI_FIXED.pack(MULTI_MAGIC, MULTI_VERSION, flags, 0))
-        self._offsets: list[int] = []
-        self._lengths: list[int] = []
-        self._flags: list[int] = []
-        self._codecs: list[int] = []
-        self._crcs: list[int] = []
-        self._finalized = False
-
-    def _write(self, data: bytes | memoryview) -> None:
-        """Append ``data``, tracking position and the running digest."""
-        self._sink.write(data)
-        self._pos += len(data)
-        if self.checksum:
-            self._digest = zlib.crc32(data, self._digest)
+        super().__init__(sink, flags, checksum, recoverable)
+        self._write(
+            _MULTI_FIXED.pack(MULTI_MAGIC, MULTI_VERSION, self.flags, 0)
+        )
 
     @property
     def nframes(self) -> int:
-        return len(self._offsets)
+        return len(self._rows)
 
-    @property
-    def in_memory(self) -> bool:
-        """Whether the writer owns an in-memory sink (:meth:`getvalue`
-        is only valid then)."""
-        return self._own
+    def _check_unit(self, codec_id: int) -> None:
+        if codec_id != CODEC_STZ and not (self.flags & MULTI_CODEC):
+            # the version gate: non-STZ payloads are only legal in
+            # archives whose header flag warns pre-codec-id readers off
+            raise ValueError(
+                "non-STZ frame codec requires a writer opened with "
+                "flags=MULTI_CODEC"
+            )
 
     def add_frame(
         self,
@@ -734,197 +1003,36 @@ class MultiFrameWriter:
         codec_id: int = CODEC_STZ,
     ) -> FrameInfo:
         """Append one frame; returns its table entry."""
-        if self._finalized:
-            raise ValueError("archive already finalized")
-        if flags & ~_KNOWN_FRAME_FLAGS:
-            raise ValueError(f"unknown frame flags 0x{flags:02x}")
-        if codec_id not in CODEC_NAMES:
-            raise ValueError(f"unknown codec id {codec_id}")
-        if codec_id != CODEC_STZ and not (self.flags & MULTI_CODEC):
-            # the version gate: non-STZ payloads are only legal in
-            # archives whose header flag warns pre-codec-id readers off
-            raise ValueError(
-                "non-STZ frame codec requires a writer opened with "
-                "flags=MULTI_CODEC"
-            )
-        crc = 0
-        if self.checksum:
-            crc = zlib.crc32(payload)
-            flags |= FRAME_CHECKSUM
-        if self.recoverable:
-            # the record carries everything the table row would — a
-            # forward scan can rebuild the table byte-exactly from the
-            # records alone (integrity.repair_archive)
-            self._write(
-                _RECORD.pack(RECORD_MAGIC, len(payload), crc, flags, codec_id)
-            )
-        info = FrameInfo(
-            self.nframes, self._pos, len(payload), flags, codec_id, crc
-        )
-        self._offsets.append(info.offset)
-        self._lengths.append(info.length)
-        self._flags.append(flags)
-        self._codecs.append(codec_id)
-        self._crcs.append(crc)
-        self._write(payload)
-        return info
-
-    def finalize(self) -> None:
-        """Write the frame table and trailer (idempotent)."""
-        if self._finalized:
-            return
-        table = np.zeros(self.nframes, dtype=_FRAME_DTYPE)
-        table["offset"] = self._offsets
-        table["length"] = self._lengths
-        table["flags"] = self._flags
-        table["codec"] = self._codecs
-        table["crc"] = self._crcs
-        table_off = self._pos
-        self._write(table.tobytes())
-        if self.checksum:
-            # digest of every byte written so far (head through table);
-            # written raw — it cannot cover itself
-            self._sink.write(_DIGEST.pack(self._digest))
-        self._sink.write(
-            _MULTI_TRAILER.pack(table_off, self.nframes, MULTI_END_MAGIC)
-        )
-        self._finalized = True
-
-    def getvalue(self) -> bytes:
-        """The finished archive (in-memory sinks only)."""
-        if not self._own:
-            raise ValueError("writer streams to an external sink")
-        self.finalize()
-        return self._sink.getvalue()
+        return self._append(payload, flags, codec_id)
 
 
-class MultiFrameReader:
+class MultiFrameReader(_TableReader):
     """Random-access reader for multi-frame archives.
 
     Opening parses only the 8-byte head, the 16-byte trailer and the
-    frame table; frame payloads are fetched on demand, so random access
-    to frame ``k`` of a file archive reads exactly that frame's bytes.
-    Unknown container or frame flag bits are rejected at open (they may
-    change decode semantics — see the module docstring).
+    frame table; frame payloads are fetched on demand (see
+    :class:`_TableReader`).  Frame 0 must be intra.
     """
 
+    _fmt = _MULTI
+
     def __init__(self, source: bytes | memoryview | io.IOBase):
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._buf: memoryview | None = memoryview(source)
-            self._file: io.IOBase | None = None
-            total = len(self._buf)
-        else:
-            self._buf = None
-            self._file = source
-            total = source.seek(0, io.SEEK_END)
-        if total < _MULTI_FIXED.size + _MULTI_TRAILER.size:
-            raise ValueError("truncated multi-frame STZ container")
-        magic, version, flags, _ = _MULTI_FIXED.unpack(
-            self._read_at(0, _MULTI_FIXED.size)
-        )
-        if magic != MULTI_MAGIC:
-            if magic == MAGIC:
-                raise ValueError(
-                    "single-frame STZ container; open it with StreamReader"
-                )
-            if magic == SHARD_MAGIC:
-                raise ValueError(
-                    "sharded (chunked, container v3) archive; open it "
-                    "with ShardedReader / repro.core.api.decompress"
-                )
-            raise ValueError("not a multi-frame STZ container")
-        if version != MULTI_VERSION:
-            raise ValueError(
-                f"unsupported multi-frame container version {version}"
-            )
-        if flags & ~_KNOWN_MULTI_FLAGS:
-            raise ValueError(
-                "container uses unknown feature flags "
-                f"0x{flags & ~_KNOWN_MULTI_FLAGS:02x}; upgrade the reader"
-            )
-        self.flags = flags
-        self.has_digest = bool(flags & MULTI_CHECKSUM)
-        table_off, nframes, end_magic = _MULTI_TRAILER.unpack(
-            self._read_at(total - _MULTI_TRAILER.size, _MULTI_TRAILER.size)
-        )
-        if end_magic != MULTI_END_MAGIC:
-            raise ValueError("truncated multi-frame STZ container")
-        extra = _DIGEST.size if self.has_digest else 0
-        if (
-            table_off + _FRAME.size * nframes + extra + _MULTI_TRAILER.size
-            != total
-        ):
-            raise ValueError("corrupt multi-frame table geometry")
-        #: where the whole-archive digest coverage ends (== digest block
-        #: start when has_digest) — verify_archive checks CRC32 of
-        #: bytes [0, digest_offset) against stored_digest
-        self.digest_offset = table_off + _FRAME.size * nframes
-        self.stored_digest: int | None = None
-        if self.has_digest:
-            (self.stored_digest,) = _DIGEST.unpack(
-                self._read_at(self.digest_offset, _DIGEST.size)
-            )
-        table = np.frombuffer(
-            self._read_at(table_off, _FRAME.size * nframes),
-            dtype=_FRAME_DTYPE,
-        )
-        self.frames: tuple[FrameInfo, ...] = tuple(
-            FrameInfo(i, int(off), int(length), int(fl), int(cid), int(crc))
-            for i, (off, length, fl, cid, crc) in enumerate(
-                zip(
-                    table["offset"].tolist(),
-                    table["length"].tolist(),
-                    table["flags"].tolist(),
-                    table["codec"].tolist(),
-                    table["crc"].tolist(),
-                )
-            )
-        )
-        for f in self.frames:
-            if f.flags & ~_KNOWN_FRAME_FLAGS:
-                raise ValueError(
-                    f"frame {f.index} uses unknown frame flags "
-                    f"0x{f.flags & ~_KNOWN_FRAME_FLAGS:02x}; "
-                    "upgrade the reader"
-                )
-            if f.codec_id not in CODEC_NAMES:
-                raise ValueError(
-                    f"frame {f.index} uses unknown codec id "
-                    f"{f.codec_id}; upgrade the reader"
-                )
-            if f.offset + f.length > table_off:
-                raise ValueError("corrupt multi-frame table geometry")
+        super().__init__(source)
+        self.flags, start = _multi_head(self)
+        self._open_table(start)
         if self.frames and self.frames[0].is_delta:
             raise ValueError("frame 0 cannot be a temporal delta")
-        self.bytes_read = 0  # frame payload bytes actually fetched
+
+    @property
+    def frames(self) -> tuple[FrameInfo, ...]:
+        return self._entries
 
     @property
     def nframes(self) -> int:
-        return len(self.frames)
+        return len(self._entries)
 
-    def _read_at(self, offset: int, length: int) -> bytes | memoryview:
-        if self._buf is not None:
-            if offset + length > len(self._buf):
-                raise ValueError("truncated multi-frame STZ container")
-            return self._buf[offset : offset + length]
-        self._file.seek(offset)
-        data = self._file.read(length)
-        if len(data) != length:
-            raise ValueError("truncated multi-frame STZ container")
-        return data
-
-    def frame(self, index: int) -> FrameInfo:
-        if not (0 <= index < self.nframes):
-            raise IndexError(
-                f"frame index {index} out of range [0, {self.nframes})"
-            )
-        return self.frames[index]
-
-    def read_frame(self, index: int) -> bytes | memoryview:
-        """The STZ1 payload of frame ``index`` (zero-copy in memory)."""
-        info = self.frame(index)
-        self.bytes_read += info.length
-        return self._read_at(info.offset, info.length)
+    frame = _TableReader._entry
+    read_frame = _TableReader._read_entry
 
     def open_frame(self, index: int) -> StreamReader:
         """A :class:`StreamReader` over frame ``index``'s payload."""
@@ -941,12 +1049,7 @@ def is_selected(source: bytes | memoryview | io.IOBase) -> bool:
     File sources are restored to their prior position, like
     :func:`is_multiframe`.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(memoryview(source)[:4]) == SELECT_MAGIC
-    pos = source.tell()
-    head = source.read(4)
-    source.seek(pos)
-    return head == SELECT_MAGIC
+    return _peek_magic(source) == SELECT_MAGIC
 
 
 def wrap_selected(codec_id: int, payload: bytes | memoryview) -> bytes:
@@ -1032,26 +1135,47 @@ def is_sharded(source: bytes | memoryview | io.IOBase) -> bool:
     File sources are restored to their prior position, like
     :func:`is_multiframe`.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(memoryview(source)[:4]) == SHARD_MAGIC
-    pos = source.tell()
-    head = source.read(4)
-    source.seek(pos)
-    return head == SHARD_MAGIC
+    return _peek_magic(source) == SHARD_MAGIC
 
 
-class ShardedWriter:
+_SHARD = _TableFormat(
+    SHARD_MAGIC,
+    SHARD_VERSION,
+    "sharded STZ",
+    _KNOWN_SHARD_FLAGS,
+    SHARD_CHECKSUM,
+    SHARD_RECOVER,
+    "chunk",
+    ChunkEntry,
+    _KNOWN_CHUNK_FLAGS,
+    CHUNK_CHECKSUM,
+)
+
+
+def _shard_head(src: _Source) -> tuple[int, int, np.dtype, ChunkPlan]:
+    """Parse and check the 'STZS' head: (container flags, head size,
+    dtype, chunk plan)."""
+    magic, version, flags, dt, ndim = _SHARD_FIXED.unpack(
+        src._read_at(0, _SHARD_FIXED.size)
+    )
+    _SHARD.check_head(magic, version, flags)
+    dims = struct.unpack(
+        f"<{2 * ndim}Q", src._read_at(_SHARD_FIXED.size, 16 * ndim)
+    )
+    plan = ChunkPlan(dims[:ndim], dims[ndim:])
+    return flags, _SHARD_FIXED.size + 16 * ndim, dtype_from_code(dt), plan
+
+
+class ShardedWriter(_TableWriter):
     """Append-only writer for sharded (container v3) archives.
 
     Chunk payloads — complete STZ1 blobs or 'STZC' envelopes, in plan
-    (C) order — are written to ``sink`` as they arrive; only the
-    24-byte table rows are retained, so writer memory is O(1 chunk)
-    however large the array.  The table and trailer land at the end on
-    :meth:`finalize` (which also checks the plan was fully covered), so
-    the sink is never seeked: any append-only byte sink works.  With no
-    ``sink`` an in-memory buffer is used and :meth:`getvalue` returns
-    the archive bytes.
+    (C) order — are written to ``sink`` as they arrive, with O(1 chunk)
+    writer memory however large the array (see :class:`_TableWriter`);
+    :meth:`finalize` also checks the plan was fully covered.
     """
+
+    _fmt = _SHARD
 
     def __init__(
         self,
@@ -1063,230 +1187,76 @@ class ShardedWriter:
         checksum: bool = False,
         recoverable: bool = False,
     ):
-        if flags & ~_KNOWN_SHARD_FLAGS:
-            raise ValueError(f"unknown container flags 0x{flags:02x}")
-        # flag bits and keyword arguments are equivalent spellings (see
-        # MultiFrameWriter)
-        recoverable = recoverable or bool(flags & SHARD_RECOVER)
-        checksum = checksum or recoverable or bool(flags & SHARD_CHECKSUM)
-        if checksum:
-            flags |= SHARD_CHECKSUM
-        if recoverable:
-            flags |= SHARD_RECOVER
-        self.checksum = checksum
-        self.recoverable = recoverable
+        super().__init__(sink, flags, checksum, recoverable)
         self.plan = ChunkPlan(
             tuple(int(n) for n in shape), tuple(int(c) for c in chunk_shape)
         )
         self.dtype = np.dtype(dtype)
-        self.flags = flags
-        self._own = sink is None
-        self._sink: io.IOBase = io.BytesIO() if sink is None else sink
         ndim = len(self.plan.shape)
-        head = _SHARD_FIXED.pack(
-            SHARD_MAGIC, SHARD_VERSION, flags, dtype_code(self.dtype), ndim
-        ) + struct.pack(
-            f"<{2 * ndim}Q", *self.plan.shape, *self.plan.chunk_shape
+        self._write(
+            _SHARD_FIXED.pack(
+                SHARD_MAGIC, SHARD_VERSION, self.flags,
+                dtype_code(self.dtype), ndim,
+            )
+            + struct.pack(
+                f"<{2 * ndim}Q", *self.plan.shape, *self.plan.chunk_shape
+            )
         )
-        self._pos = 0
-        self._digest = 0
-        self._write(head)
-        self._offsets: list[int] = []
-        self._lengths: list[int] = []
-        self._codecs: list[int] = []
-        self._crcs: list[int] = []
-        self._finalized = False
-
-    def _write(self, data: bytes | memoryview) -> None:
-        """Append ``data``, tracking position and the running digest."""
-        self._sink.write(data)
-        self._pos += len(data)
-        if self.checksum:
-            self._digest = zlib.crc32(data, self._digest)
 
     @property
     def nchunks(self) -> int:
-        return len(self._lengths)
+        return len(self._rows)
 
-    @property
-    def in_memory(self) -> bool:
-        return self._own
+    def _check_unit(self, codec_id: int) -> None:
+        if self.nchunks >= self.plan.nchunks:
+            raise ValueError(
+                f"plan has only {self.plan.nchunks} chunks; chunk "
+                f"{self.nchunks} does not exist"
+            )
 
     def add_chunk(
         self, payload: bytes | memoryview, codec_id: int = CODEC_STZ
     ) -> ChunkEntry:
         """Append the next chunk's payload (plan order); returns its
         table entry."""
-        if self._finalized:
-            raise ValueError("archive already finalized")
-        if codec_id not in CODEC_NAMES:
-            raise ValueError(f"unknown codec id {codec_id}")
-        if self.nchunks >= self.plan.nchunks:
-            raise ValueError(
-                f"plan has only {self.plan.nchunks} chunks; chunk "
-                f"{self.nchunks} does not exist"
-            )
-        flags = 0
-        crc = 0
-        if self.checksum:
-            crc = zlib.crc32(payload)
-            flags = CHUNK_CHECKSUM
-        if self.recoverable:
-            self._write(
-                _RECORD.pack(RECORD_MAGIC, len(payload), crc, flags, codec_id)
-            )
-        entry = ChunkEntry(
-            self.nchunks, self._pos, len(payload), flags, codec_id, crc
-        )
-        self._offsets.append(entry.offset)
-        self._lengths.append(entry.length)
-        self._codecs.append(codec_id)
-        self._crcs.append(crc)
-        self._write(payload)
-        return entry
+        return self._append(payload, 0, codec_id)
 
     def finalize(self) -> None:
         """Write the chunk table and trailer (idempotent)."""
-        if self._finalized:
-            return
-        if self.nchunks != self.plan.nchunks:
+        if not self._finalized and self.nchunks != self.plan.nchunks:
             raise ValueError(
                 f"plan needs {self.plan.nchunks} chunks, got {self.nchunks}"
             )
-        table = np.zeros(self.nchunks, dtype=_FRAME_DTYPE)
-        table["offset"] = self._offsets
-        table["length"] = self._lengths
-        table["flags"] = [CHUNK_CHECKSUM if self.checksum else 0] * (
-            self.nchunks
-        )
-        table["codec"] = self._codecs
-        table["crc"] = self._crcs
-        table_off = self._pos
-        self._write(table.tobytes())
-        if self.checksum:
-            self._sink.write(_DIGEST.pack(self._digest))
-        self._sink.write(
-            _MULTI_TRAILER.pack(table_off, self.nchunks, MULTI_END_MAGIC)
-        )
-        self._finalized = True
-
-    def getvalue(self) -> bytes:
-        """The finished archive (in-memory sinks only)."""
-        if not self._own:
-            raise ValueError("writer streams to an external sink")
-        self.finalize()
-        return self._sink.getvalue()
+        super().finalize()
 
 
-class ShardedReader:
+class ShardedReader(_TableReader):
     """Random-access reader for sharded (container v3) archives.
 
-    Opening parses the fixed head, the 16-byte trailer and the chunk
-    table, and rebuilds the :class:`~repro.core.partition.ChunkPlan`
-    from the stored ``(shape, chunk_shape)``; chunk payloads are
-    fetched on demand, so chunk-granular random access to a file
-    archive reads exactly the chunks it touches.  Unknown container
-    flags, per-chunk flags and codec ids are rejected at open (they may
-    change decode semantics — see the module docstring).
+    Opening parses the head, rebuilds the
+    :class:`~repro.core.partition.ChunkPlan` from the stored ``(shape,
+    chunk_shape)`` and parses the trailer and chunk table, which must
+    cover the plan; chunk payloads are fetched on demand, so
+    chunk-granular random access to a file archive reads exactly the
+    chunks it touches (see :class:`_TableReader`).
     """
 
+    _fmt = _SHARD
+
     def __init__(self, source: bytes | memoryview | io.IOBase):
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._buf: memoryview | None = memoryview(source)
-            self._file: io.IOBase | None = None
-            total = len(self._buf)
-        else:
-            self._buf = None
-            self._file = source
-            total = source.seek(0, io.SEEK_END)
-        if total < _SHARD_FIXED.size + _MULTI_TRAILER.size:
-            raise ValueError("truncated sharded STZ container")
-        magic, version, flags, dt, ndim = _SHARD_FIXED.unpack(
-            self._read_at(0, _SHARD_FIXED.size)
-        )
-        if magic != SHARD_MAGIC:
-            if magic == MAGIC:
-                raise ValueError(
-                    "single-frame STZ container; open it with StreamReader"
-                )
-            if magic == MULTI_MAGIC:
-                raise ValueError(
-                    "multi-frame STZ container; open it with "
-                    "MultiFrameReader / the streaming API"
-                )
-            raise ValueError("not a sharded STZ container")
-        if version != SHARD_VERSION:
+        super().__init__(source)
+        self.flags, start, self.dtype, self.plan = _shard_head(self)
+        self._open_table(start)
+        if self.nchunks != self.plan.nchunks:
             raise ValueError(
-                f"unsupported sharded container version {version}"
+                f"chunk table has {self.nchunks} entries; the stored plan "
+                f"{self.plan.shape} / {self.plan.chunk_shape} needs "
+                f"{self.plan.nchunks}"
             )
-        if flags & ~_KNOWN_SHARD_FLAGS:
-            raise ValueError(
-                "container uses unknown feature flags "
-                f"0x{flags & ~_KNOWN_SHARD_FLAGS:02x}; upgrade the reader"
-            )
-        self.flags = flags
-        self.has_digest = bool(flags & SHARD_CHECKSUM)
-        self.dtype = dtype_from_code(dt)
-        dims = struct.unpack(
-            f"<{2 * ndim}Q",
-            self._read_at(_SHARD_FIXED.size, 16 * ndim),
-        )
-        shape = tuple(int(n) for n in dims[:ndim])
-        chunk_shape = tuple(int(n) for n in dims[ndim:])
-        self.plan = ChunkPlan(shape, chunk_shape)
-        table_off, nchunks, end_magic = _MULTI_TRAILER.unpack(
-            self._read_at(total - _MULTI_TRAILER.size, _MULTI_TRAILER.size)
-        )
-        if end_magic != MULTI_END_MAGIC:
-            raise ValueError("truncated sharded STZ container")
-        extra = _DIGEST.size if self.has_digest else 0
-        if (
-            table_off + _FRAME.size * nchunks + extra + _MULTI_TRAILER.size
-            != total
-        ):
-            raise ValueError("corrupt sharded chunk-table geometry")
-        if nchunks != self.plan.nchunks:
-            raise ValueError(
-                f"chunk table has {nchunks} entries; the stored plan "
-                f"{shape} / {chunk_shape} needs {self.plan.nchunks}"
-            )
-        self.digest_offset = table_off + _FRAME.size * nchunks
-        self.stored_digest: int | None = None
-        if self.has_digest:
-            (self.stored_digest,) = _DIGEST.unpack(
-                self._read_at(self.digest_offset, _DIGEST.size)
-            )
-        table = np.frombuffer(
-            self._read_at(table_off, _FRAME.size * nchunks),
-            dtype=_FRAME_DTYPE,
-        )
-        self.chunks: tuple[ChunkEntry, ...] = tuple(
-            ChunkEntry(i, int(off), int(length), int(fl), int(cid), int(crc))
-            for i, (off, length, fl, cid, crc) in enumerate(
-                zip(
-                    table["offset"].tolist(),
-                    table["length"].tolist(),
-                    table["flags"].tolist(),
-                    table["codec"].tolist(),
-                    table["crc"].tolist(),
-                )
-            )
-        )
-        for c in self.chunks:
-            if c.flags & ~_KNOWN_CHUNK_FLAGS:
-                raise ValueError(
-                    f"chunk {c.index} uses unknown chunk flags "
-                    f"0x{c.flags & ~_KNOWN_CHUNK_FLAGS:02x}; "
-                    "upgrade the reader"
-                )
-            if c.codec_id not in CODEC_NAMES:
-                raise ValueError(
-                    f"chunk {c.index} uses unknown codec id "
-                    f"{c.codec_id}; upgrade the reader"
-                )
-            if c.offset + c.length > table_off:
-                raise ValueError("corrupt sharded chunk-table geometry")
-        self.bytes_read = 0  # chunk payload bytes actually fetched
+
+    @property
+    def chunks(self) -> tuple[ChunkEntry, ...]:
+        return self._entries
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -1294,28 +1264,7 @@ class ShardedReader:
 
     @property
     def nchunks(self) -> int:
-        return len(self.chunks)
+        return len(self._entries)
 
-    def _read_at(self, offset: int, length: int) -> bytes | memoryview:
-        if self._buf is not None:
-            if offset + length > len(self._buf):
-                raise ValueError("truncated sharded STZ container")
-            return self._buf[offset : offset + length]
-        self._file.seek(offset)
-        data = self._file.read(length)
-        if len(data) != length:
-            raise ValueError("truncated sharded STZ container")
-        return data
-
-    def chunk(self, index: int) -> ChunkEntry:
-        if not (0 <= index < self.nchunks):
-            raise IndexError(
-                f"chunk index {index} out of range [0, {self.nchunks})"
-            )
-        return self.chunks[index]
-
-    def read_chunk(self, index: int) -> bytes | memoryview:
-        """The payload of chunk ``index`` (zero-copy in memory)."""
-        entry = self.chunk(index)
-        self.bytes_read += entry.length
-        return self._read_at(entry.offset, entry.length)
+    chunk = _TableReader._entry
+    read_chunk = _TableReader._read_entry

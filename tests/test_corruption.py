@@ -435,6 +435,22 @@ class TestRepair:
         with pytest.raises(ValueError):
             repair_archive(truncate_at(blob, frame0.offset + 1))
 
+    @pytest.mark.parametrize("container", ["v2", "v3"])
+    @pytest.mark.parametrize(
+        "offset, xor, match",
+        [(4, 0x08, "version 9"), (5, 0x40, "unknown feature flags")],
+        ids=["version", "unknown-flag"],
+    )
+    def test_unknown_head_refused(
+        self, request, container, offset, xor, match
+    ):
+        """Both heads are magic4 | u8 version | u8 flags.  Repair checks
+        them as the readers do: an unknown version or flag bit is
+        refused, never rebuilt as a version-1 archive without it."""
+        blob, _ = request.getfixturevalue(container)
+        with pytest.raises(ValueError, match=match):
+            repair_archive(flip_byte(blob, offset, xor))
+
 
 class TestExecutorFaults:
     @needs_fork
