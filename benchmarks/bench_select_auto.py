@@ -22,11 +22,11 @@ multi-candidate compression probe at every keyframe, first delta, and
 epsilon draw, plus float64-arithmetic SZ3 and no probe caching).  The
 reproduction mirrors the pre-PR ``StreamingCompressor.append`` loop
 statement for statement, so the reported speedup isolates the
-amortization work — the bench_encode_batched.py protocol.
+amortization work — the protocol of the encode gate in
+``tests/test_perf_gates.py``.
 
-Results land in ``BENCH_speed.json`` under ``select_auto`` and
-``select_stream``.  ``STZ_BENCH_DATASETS`` (comma-separated names)
-restricts the dataset sweep — the CI bench-smoke step runs one dataset
+``STZ_BENCH_DATASETS`` (comma-separated names) restricts the dataset
+sweep — the CI bench-smoke step runs one dataset
 and relies on the speed-ratio assertion below.
 """
 
@@ -52,19 +52,19 @@ from repro.core.streaming import StreamingDecompressor
 from repro.datasets import dataset_names, load
 from repro.sz3.compressor import sz3_compress_with_recon
 
-from conftest import fmt_table, record_bench
+from conftest import fmt_table
 
 REL_EB = 1e-3
 #: acceptance floor: auto's CR vs the best fixed codec, per dataset
 MIN_CR_RATIO = 0.9
 #: CI smoke gate: amortized auto must stay within 2x of running the
-#: chosen codec directly (the recorded ratios sit near 1.1-1.3)
+#: chosen codec directly (measured ratios sit near 1.1-1.3)
 MAX_SPEED_RATIO = 2.0
 
 STREAM_GRID = (64, 64, 64)
 STREAM_STEPS = 16
 #: noise-tolerant assertion floor for the streaming speedup.  The
-#: recorded ratio is the trajectory number; note the in-benchmark
+#: measured ratio is the trajectory number; note the in-benchmark
 #: reference is *conservative* — it inherits this PR's shared-helper
 #: optimizations (fused bound_holds etc.), so the ratio understates
 #: the improvement over the actual pre-PR build (interleaved runs of
@@ -151,9 +151,6 @@ def test_select_auto(artifact):
         + "\nshape: auto >= 0.9x the best fixed codec's CR per dataset, "
         "and amortized auto within 2x of the chosen codec alone\n",
     )
-    payload["rel_eb"] = REL_EB
-    payload["grids"] = {ds: list(load(ds).shape) for ds in datasets}
-    record_bench("select_auto", payload)
 
     # --- acceptance shape: near-best CR at near-fixed-codec speed ------
     for ds in datasets:
@@ -349,20 +346,6 @@ def test_select_stream_amortized(artifact):
         + f"\n{STREAM_STEPS} x {STREAM_GRID} f32 evolving field, "
         f"rel eb {REL_EB}; shape: amortized auto >= 2x the per-step "
         "re-probe cadence at matching CR\n",
-    )
-    record_bench(
-        "select_stream",
-        {
-            "grid": list(STREAM_GRID),
-            "steps": STREAM_STEPS,
-            "dtype": "float32",
-            "rel_eb": REL_EB,
-            "ref_steps_per_s": round(ref_sps, 2),
-            "amortized_steps_per_s": round(new_sps, 2),
-            "speedup": round(speedup, 3),
-            "cr_ref": round(total / len(blob_ref), 3),
-            "cr_amortized": round(total / len(blob_new), 3),
-        },
     )
     assert speedup >= MIN_STREAM_SPEEDUP, (
         f"amortized auto streaming only {speedup:.2f}x over the pre-PR "

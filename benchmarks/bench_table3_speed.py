@@ -27,7 +27,7 @@ from repro.sz3 import (
 )
 from repro.zfp import zfp_compress, zfp_decompress
 
-from conftest import fmt_table, record_bench
+from conftest import fmt_table
 
 REL_EB = 1e-3
 THREADS = 8
@@ -114,19 +114,6 @@ def test_table3_speed(benchmark, artifact):
         + "\npaper shape: ZFP fastest; STZ second and faster than "
         "SZ3/SPERR/MGARD; SZ3-OMP loses CR (*)\n",
     )
-    # machine-readable perf trajectory for future PRs (repo root)
-    record_bench(
-        "table3_speed",
-        {
-            f"{ds}/{codec}/{mode}": {
-                "comp_s": round(times[(ds, codec, mode, "comp")], 4),
-                "dec_s": round(times[(ds, codec, mode, "dec")], 4),
-                "cr": round(cr, 3),
-            }
-            for (ds, codec, mode), cr in crs.items()
-        },
-    )
-
     # --- shape claims (averaged over datasets to damp noise) --------------
     def mean_time(codec, mode, direction):
         return float(

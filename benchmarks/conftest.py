@@ -15,7 +15,6 @@ DESIGN.md §4).  Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Callable
@@ -46,8 +45,6 @@ from repro.util.alloc import tune_allocator
 tune_allocator()
 
 OUT_DIR = Path(__file__).parent / "out"
-#: repo-root machine-readable speed record (see record_bench below)
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_speed.json"
 
 #: relative error bounds swept by the rate-distortion benchmarks
 REL_EBS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -63,23 +60,6 @@ def artifact():
         print(f"\n=== {name} ===\n{text}")
 
     return write
-
-
-def record_bench(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_speed.json``.
-
-    The repo-root JSON is the machine-readable perf trajectory future
-    PRs regress against: each benchmark owns one top-level key and
-    overwrites only its own section.
-    """
-    data: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def fmt_table(
@@ -108,42 +88,6 @@ def _fmt(v) -> str:
             return f"{v:.3g}"
         return f"{v:.3f}".rstrip("0").rstrip(".")
     return str(v)
-
-
-def vm_rss_kb() -> int:
-    """Current resident set size (KiB) from /proc (Linux)."""
-    with open("/proc/self/status") as fh:
-        for line in fh:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    return 0
-
-
-class RSSSampler:
-    """Background peak-RSS sampler (1 ms cadence) — catches the
-    transient working set a before/after pair would miss.  Shared by
-    the streaming and chunked out-of-core benchmarks."""
-
-    def __init__(self):
-        import threading
-
-        self.peak = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        while not self._stop.is_set():
-            self.peak = max(self.peak, vm_rss_kb())
-            self._stop.wait(0.001)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        self._thread.join()
-        self.peak = max(self.peak, vm_rss_kb())
 
 
 def eb_for_target_cr(

@@ -48,7 +48,8 @@ chunk is independently encoded at that bound, so no chunk seam can
 exceed it — the chunked conformance sweep asserts this across seams
 for every backend.  What chunking *does* cost is compression ratio
 (per-chunk container overhead and lost cross-chunk prediction);
-``benchmarks/bench_chunked.py`` measures that penalty honestly.
+``tests/test_perf_gates.py::test_chunked_cr_penalty`` floors that
+penalty.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from repro.core.stream import (
     ShardedReader,
     ShardedWriter,
     is_selected,
+    read_extent,
     unwrap_selected,
     wrap_selected,
 )
@@ -610,16 +612,13 @@ def _decode_worker(state, index: int) -> "ChunkCorruptionError | None":
     src, entries, plan, out, threads, on_error = state
     entry = entries[index]
     try:
-        if isinstance(src, (bytes, memoryview)):
-            payload = memoryview(src)[
-                entry.offset : entry.offset + entry.length
-            ]
-        else:  # file path: workers read independently (no shared fd offset)
+        what = ShardedReader._fmt.name
+        if isinstance(src, str):
+            # file path: workers read independently (no shared fd offset)
             with open(src, "rb") as fh:
-                fh.seek(entry.offset)
-                payload = fh.read(entry.length)
-                if len(payload) != entry.length:
-                    raise ValueError("truncated sharded STZ container")
+                payload = read_extent(fh, entry.offset, entry.length, what)
+        else:
+            payload = read_extent(src, entry.offset, entry.length, what)
         _check_chunk_payload(entry, payload)
         decoded = _decode_chunk_payload(payload, threads)
         out[plan.chunk(index).slices] = decoded

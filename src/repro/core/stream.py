@@ -407,6 +407,24 @@ _WRONG_MAGIC = {
 }
 
 
+def read_extent(
+    src: bytes | memoryview | io.IOBase, offset: int, length: int, what: str
+) -> bytes | memoryview:
+    """``length`` bytes at ``offset`` of an in-memory buffer (a
+    zero-copy slice) or a seekable binary file; an extent past the end
+    raises "truncated ``what`` container".  The one extent reader of
+    every container reader and of the chunked decode workers."""
+    if isinstance(src, (bytes, bytearray, memoryview)):
+        if offset + length > len(src):
+            raise ValueError(f"truncated {what} container")
+        return memoryview(src)[offset : offset + length]
+    src.seek(offset)
+    data = src.read(length)
+    if len(data) != length:
+        raise ValueError(f"truncated {what} container")
+    return data
+
+
 class _Source:
     """Where a reader's bytes come from: an in-memory buffer, served as
     zero-copy ``memoryview`` slices, or a seekable binary file read on
@@ -430,15 +448,8 @@ class _Source:
         return self._file.seek(0, io.SEEK_END)
 
     def _read_at(self, offset: int, length: int) -> bytes | memoryview:
-        if self._buf is not None:
-            if offset + length > len(self._buf):
-                raise self._truncated()
-            return self._buf[offset : offset + length]
-        self._file.seek(offset)
-        data = self._file.read(length)
-        if len(data) != length:
-            raise self._truncated()
-        return data
+        src = self._buf if self._buf is not None else self._file
+        return read_extent(src, offset, length, self._what)
 
     def worker_source(self) -> bytes | memoryview | str:
         """What a pool worker reads payloads from: the in-memory buffer
@@ -837,7 +848,7 @@ class _TableReader(_Source):
         self.digest_offset = table_off + _FRAME_DTYPE.itemsize * n
         extra = _DIGEST.size if self.has_digest else 0
         if self.digest_offset + extra + _MULTI_TRAILER.size != total:
-            raise ValueError(f"corrupt {fmt.name} table geometry")
+            raise self._bad_geometry()
         self.stored_digest: int | None = None
         if self.has_digest:
             (self.stored_digest,) = _DIGEST.unpack(
@@ -863,9 +874,22 @@ class _TableReader(_Source):
                     f"{unit} {e.index} uses unknown codec id "
                     f"{e.codec_id}; upgrade the reader"
                 )
-            if e.offset + e.length > table_off:
-                raise ValueError(f"corrupt {fmt.name} table geometry")
+        # every payload extent lies between the head and the table (so
+        # the table starts after the head too), and no two overlap; a
+        # recoverable archive also keeps room for the 'STZR' record in
+        # front of each payload
+        record = _RECORD.size if self.flags & fmt.recover_flag else 0
+        end = start
+        for e in sorted(self._entries, key=lambda e: (e.offset, e.length)):
+            if e.offset < end + record:
+                raise self._bad_geometry()
+            end = e.offset + e.length
+        if end > table_off:
+            raise self._bad_geometry()
         self.bytes_read = 0  # unit payload bytes actually fetched
+
+    def _bad_geometry(self) -> ValueError:
+        return ValueError(f"corrupt {self._fmt.name} table geometry")
 
     def _entry(self, index: int):
         """The table entry of unit ``index``."""

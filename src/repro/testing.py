@@ -24,8 +24,8 @@ so a failing corruption test reproduces exactly.
 The **server harness** (:class:`ServerHarness` / :class:`ServeClient`)
 runs a real in-process :class:`~repro.serve.server.CompressionServer`
 on a background event-loop thread and talks to it over real TCP — the
-shared substrate of ``tests/test_serve.py`` and
-``benchmarks/bench_serve.py``, so the concurrency tests and the load
+shared substrate of ``tests/test_serve.py`` and the serve gate in
+``tests/test_perf_gates.py``, so the concurrency tests and the load
 generator exercise the same client path.  Fault injection composes:
 ``fault_prologue`` threads a hook into every decode task (sleeps for
 admission/timeout tests, :meth:`WorkerKiller.maybe_die` for
@@ -251,7 +251,7 @@ class WorkerKiller:
 
 
 # ---------------------------------------------------------------------------
-# serve-layer harness (shared by tests/test_serve.py and bench_serve.py)
+# serve-layer harness (shared by test_serve.py and test_perf_gates.py)
 # ---------------------------------------------------------------------------
 
 @dataclass

@@ -21,6 +21,7 @@ containment.  All fault injection goes through the deterministic
 harness in :mod:`repro.testing`.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -28,6 +29,7 @@ import pytest
 
 from conftest import smooth_field
 from repro.core import api
+from repro.core.chunked import decompress_chunked
 from repro.core.integrity import (
     ChunkCorruptionError,
     DecodeReport,
@@ -37,7 +39,9 @@ from repro.core.integrity import (
 )
 from repro.core.parallel import execute_map, fork_available
 from repro.core.stream import (
+    _FRAME_DTYPE,
     MultiFrameReader,
+    MultiFrameWriter,
     ShardedReader,
     StreamReader,
     add_archive_checksum,
@@ -247,6 +251,54 @@ class TestUncheckedStructuralMatrix:
             report = verify_archive(blob)
             assert not report.corrupt
             assert report.unchecked  # reported, not silently "ok"
+
+
+def _set_row_offset(blob: bytes, row: int, offset: int) -> bytes:
+    """Rewrite the ``offset`` field of table row ``row`` of a v2/v3
+    archive (the trailer's first field locates the table)."""
+    (table_off,) = struct.unpack_from("<Q", blob, len(blob) - 16)
+    out = bytearray(blob)
+    row_off = table_off + row * _FRAME_DTYPE.itemsize
+    struct.pack_into("<Q", out, row_off, offset)
+    return bytes(out)
+
+
+class TestTableBounds:
+    """A table row may only point between the head and the table, at
+    an extent no other row covers — checked at open, so an unchecked
+    archive can never hand head or record bytes to a payload parser."""
+
+    @pytest.fixture(scope="class")
+    def one_frame(self):
+        writer = MultiFrameWriter()
+        writer.add_frame(b"payload")
+        return writer.getvalue()
+
+    @pytest.fixture(scope="class")
+    def sharded(self, field):
+        return api.compress_chunked(field, EB, chunks=(6, 7))
+
+    def test_untouched_archives_open(self, one_frame, sharded):
+        assert bytes(MultiFrameReader(one_frame).read_frame(0)) == b"payload"
+        ShardedReader(sharded)
+
+    @pytest.mark.parametrize("fmt", ["v2", "v3"])
+    def test_row_offset_into_head_rejected(self, fmt, one_frame, sharded):
+        blob = one_frame if fmt == "v2" else sharded
+        opener = MultiFrameReader if fmt == "v2" else ShardedReader
+        with pytest.raises(ValueError, match="table geometry"):
+            opener(_set_row_offset(blob, 0, 0))
+
+    def test_overlapping_rows_rejected(self, sharded):
+        second = ShardedReader(sharded).chunk(1).offset
+        with pytest.raises(ValueError, match="table geometry"):
+            ShardedReader(_set_row_offset(sharded, 2, second))
+
+    def test_row_offset_into_record_rejected(self, v2):
+        blob, _ = v2
+        first = MultiFrameReader(blob).frames[0].offset
+        with pytest.raises(ValueError, match="table geometry"):
+            MultiFrameReader(_set_row_offset(blob, 0, first - 1))
 
 
 class TestOnErrorChunked:
@@ -494,6 +546,23 @@ class TestExecutorFaults:
         assert execute_map(
             fn, [1, 3], None, executor="thread", workers=2, retry=1
         ) == [1, 3]
+
+    @pytest.mark.parametrize(
+        "executor", ["serial", pytest.param("process", marks=needs_fork)]
+    )
+    def test_truncated_file_archive(self, field, executor, tmp_path):
+        """A file cut short after open fails the same way whichever
+        executor reads it: process workers read through the readers'
+        extent reader, not their own."""
+        path = tmp_path / "a.stz"
+        path.write_bytes(api.compress_chunked(field, EB, chunks=(6, 7)))
+        with open(path, "rb") as fh:
+            reader = ShardedReader(fh)
+            os.truncate(path, reader.chunk(2).offset + 1)
+            with pytest.raises(ChunkCorruptionError) as ei:
+                decompress_chunked(reader, executor=executor, workers=2)
+        assert ei.value.chunk_index == 2
+        assert "truncated sharded STZ container" in str(ei.value)
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_decode_exception_carries_chunk_context(self, field, executor):

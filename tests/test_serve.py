@@ -3,7 +3,8 @@
 Runs a real :class:`~repro.serve.server.CompressionServer` in-process
 (:class:`~repro.testing.ServerHarness`) and drives it over real TCP
 with blocking per-tenant clients on threads — the same substrate as
-``benchmarks/bench_serve.py``.  The core contracts under test:
+the serve gate in ``tests/test_perf_gates.py``.  The core contracts
+under test:
 
 * every served byte is **bounded**: a 200 body decodes within the
   requested error bound, and detected corruption is a structured 422,
