@@ -92,11 +92,6 @@ def effective_workers(workers: int | None) -> int:
     return min(workers, 4 * _usable_cpus())
 
 
-def effective_threads(threads: int | None) -> int:
-    """Thread facade for :func:`effective_workers` (historic name)."""
-    return effective_workers(threads)
-
-
 def parallel_capacity() -> int:
     """CPUs that can actually run numpy kernels concurrently.
 
@@ -104,7 +99,7 @@ def parallel_capacity() -> int:
     are CPU-bound even though they release the GIL), so callers use
     this to fall back to their serial path — the same behavior as an
     OpenMP build with one core.  Thread-count *requests* are still
-    honored by :func:`effective_threads` on multi-core hosts.
+    honored by :func:`effective_workers` on multi-core hosts.
     Affinity-aware (:func:`_usable_cpus`): a 48-core machine with a
     1-CPU container quota has capacity 1, not 48.
     """
@@ -149,7 +144,7 @@ def pmap(
     fn: Callable[[T], R], items: Sequence[T], threads: int | None = None
 ) -> list[R]:
     """Order-preserving map, serial or thread-pooled."""
-    n = effective_threads(threads)
+    n = effective_workers(threads)
     if n == 1 or len(items) <= 1 or parallel_capacity() < 2:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:

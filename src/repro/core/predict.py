@@ -20,14 +20,19 @@ so points whose stencil leaves the lattice fall back to linear, and the
 final midpoint of an even-sized axis (no right neighbor) falls back to a
 direct copy — which the clamped-index linear formula produces naturally.
 
-Two code paths share one set of formula helpers so they agree
-*bit-for-bit*:
+Every stencil is one combine, ``sum(near)*wn - sum(outer)*wo``, so the
+code paths agree *bit-for-bit*:
 
 * :func:`predict_block` — full sub-block, pure slicing (fast path used
-  by compression and full decompression),
+  by compression and full decompression).  One region plan decides
+  which stencil covers which slab of the sub-block; the fused decode
+  :func:`predict_dequant_block` walks the same plan,
 * :func:`predict_points` — arbitrary point sets via gathers (used by
   random-access decompression; the equality of the two paths is what
-  makes ``ROI decompression == full decompression`` exact).
+  makes ``ROI decompression == full decompression`` exact),
+* :func:`interp_axis_midpoints` — the 1D operator of the tensor mode
+  and of SZ3's cascade, kept off the plan because those batches are
+  many and thin.
 """
 
 from __future__ import annotations
@@ -59,26 +64,20 @@ def _sum_seq(arrays: list[np.ndarray]) -> np.ndarray:
     return s
 
 
-def _linear_combine(corners: list[np.ndarray], j: int) -> np.ndarray:
-    # compiled fused combine (repro.util.jit, DESIGN.md §10): one pass
-    # over the strided corner views instead of 2^j temporaries; the
-    # weights are dyadic, so the scalar cast is exact and the result is
-    # bit-identical to the reference expression below
-    w = 0.5**j
-    out = jit.combine(corners, (), w, 0.0)
-    if out is not None:
-        return out
-    return _sum_seq(corners) * w
-
-
-def _cubic_combine(
-    near: list[np.ndarray], outer: list[np.ndarray], j: int
+def _combine(
+    near: list[np.ndarray], outer: list[np.ndarray], wn: float, wo: float
 ) -> np.ndarray:
-    wn, wo = _CUBIC_WEIGHTS[j]
+    """``sum(near)*wn - sum(outer)*wo`` (no outer term when ``outer`` is
+    empty): the one stencil evaluation behind every predictor."""
+    # compiled fused combine (repro.util.jit, DESIGN.md §10): one pass
+    # over the strided views instead of 2^j temporaries; the weights are
+    # dyadic, so the scalar cast is exact and the result is bit-identical
+    # to the reference expression below
     out = jit.combine(near, outer, wn, wo)
     if out is not None:
         return out
-    return _sum_seq(near) * wn - _sum_seq(outer) * wo
+    pred = _sum_seq(near) * wn
+    return pred - _sum_seq(outer) * wo if outer else pred
 
 
 def _clamp_shift(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -162,6 +161,75 @@ def _validate(C: np.ndarray, eps: Offset, ts: tuple[int, ...]) -> list[int]:
 # grid path
 # ---------------------------------------------------------------------------
 
+def _grid_plan(
+    C: np.ndarray,
+    odd: list[int],
+    ts: tuple[int, ...],
+    interp: str,
+    shift_cache: dict | None,
+) -> list[tuple]:
+    """The stencil regions of one parity sub-block of shape ``ts``:
+    disjoint ``(region, near, outer, wn, wo)`` tuples, each ``region``
+    of the sub-block predicted as ``sum(near)*wn - sum(outer)*wo``.
+
+    Linear, or cubic with an empty interior, is one whole-block region
+    (the clamped +1 shift handles every boundary, copying at the last
+    midpoint of an even axis).  Cubic is the interior slab where the
+    4-point stencil fits (``k`` in ``[1, cs-3]`` per odd axis, within
+    the target extent), then linear on the boundary shell in disjoint
+    slabs: slab ``i`` fixes odd axis ``a_i`` to one boundary run and
+    keeps the earlier odd axes on the interior.  Each point gets the
+    element-wise formula of evaluating linear everywhere and overwriting
+    the interior, so values are bit-identical to that and to
+    :func:`predict_points`.
+    """
+    j = len(odd)
+    shifted = _fill_shifts(
+        C, shift_cache if shift_cache is not None else {}, odd
+    )
+    whole = [(0, t) for t in ts]
+
+    def linear(bounds: list[tuple[int, int]]) -> tuple:
+        region = tuple(slice(lo, hi) for lo, hi in bounds)
+        corners = [
+            shifted[frozenset(a for a, d in zip(odd, delta) if d)][region]
+            for delta in itertools.product((0, 1), repeat=j)
+        ]
+        return region, corners, [], 0.5**j, 0.0
+
+    inner = list(whole)
+    for a in odd:
+        inner[a] = (1, min(C.shape[a] - 2, ts[a]))
+    if interp == "linear" or any(inner[a][1] <= inner[a][0] for a in odd):
+        return [linear(whole)]
+
+    def taps(offsets: tuple[int, int]) -> list[np.ndarray]:
+        views = []
+        for delta in itertools.product(offsets, repeat=j):
+            box = list(inner)
+            for a, d in zip(odd, delta):
+                box[a] = (inner[a][0] + d, inner[a][1] + d)
+            views.append(C[tuple(slice(lo, hi) for lo, hi in box)])
+        return views
+
+    plan = [(
+        tuple(slice(lo, hi) for lo, hi in inner),
+        taps((0, 1)),
+        taps((-1, 2)),
+        *_CUBIC_WEIGHTS[j],
+    )]
+    for i, a in enumerate(odd):
+        for run in ((0, inner[a][0]), (inner[a][1], ts[a])):
+            if run[0] < run[1]:
+                bounds = [
+                    inner[b] if b in odd[:i] else whole[b]
+                    for b in range(C.ndim)
+                ]
+                bounds[a] = run
+                plan.append(linear(bounds))
+    return plan
+
+
 def predict_block(
     C: np.ndarray,
     eps: Offset,
@@ -185,83 +253,15 @@ def predict_block(
         raise ValueError(f"unknown interp {interp!r}")
     if interp == "cubic" and mode == "tensor":
         return _predict_block_tensor(C, odd, ts)
-
-    restrict = tuple(
-        slice(0, ts[a]) if a in set(odd) else slice(None)
-        for a in range(C.ndim)
-    )
     if interp == "direct":
-        return np.ascontiguousarray(C[restrict])
+        return np.ascontiguousarray(C[tuple(slice(0, t) for t in ts)])
 
-    # linear everywhere (clamped +1 shift handles all boundaries,
-    # degenerating to a direct copy at the last midpoint of even axes)
-    shifted = _fill_shifts(
-        C, shift_cache if shift_cache is not None else {}, odd
-    )
-    j = len(odd)
-
-    def linear_region(region: tuple[slice, ...] | None) -> np.ndarray:
-        corners = []
-        for delta in itertools.product((0, 1), repeat=j):
-            arr = shifted[frozenset(a for a, d in zip(odd, delta) if d)][
-                restrict
-            ]
-            corners.append(arr if region is None else arr[region])
-        return _linear_combine(corners, j)
-
-    if interp == "linear":
-        return linear_region(None)
-
-    # cubic upgrade on the interior slab where the 4-point stencil fits:
-    # k in [1, cs-3] per odd axis (intersected with the target extent)
-    los = {a: 1 for a in odd}
-    his = {a: min(C.shape[a] - 2, ts[a]) for a in odd}
-    if any(his[a] <= los[a] for a in odd):
-        return linear_region(None)
-
-    def slab(delta_map: dict[int, int]) -> tuple[slice, ...]:
-        return tuple(
-            slice(los[a] + delta_map[a], his[a] + delta_map[a])
-            if a in set(odd)
-            else slice(None)
-            for a in range(C.ndim)
-        )
-
-    near = [
-        C[slab({a: d for a, d in zip(odd, delta)})]
-        for delta in itertools.product((0, 1), repeat=j)
-    ]
-    outer = [
-        C[slab({a: d for a, d in zip(odd, delta)})]
-        for delta in itertools.product((-1, 2), repeat=j)
-    ]
-    target = tuple(
-        slice(los[a], his[a]) if a in set(odd) else slice(None)
-        for a in range(C.ndim)
-    )
-    # fill the cubic interior, then evaluate the linear fallback only on
-    # the boundary shell (its complement), decomposed into disjoint
-    # slabs: slab ``i`` fixes odd axis ``a_i`` to its boundary runs with
-    # all earlier odd axes restricted to the interior.  Values are
-    # bit-identical to evaluating linear everywhere and overwriting —
-    # both paths apply the same element-wise formula per point.
+    plan = _grid_plan(C, odd, ts, interp, shift_cache)
+    if len(plan) == 1:
+        return _combine(*plan[0][1:])
     pred = np.empty(ts, dtype=C.dtype)
-    pred[target] = _cubic_combine(near, outer, j)
-    for idx_a, a in enumerate(odd):
-        for lo, hi in ((0, los[a]), (his[a], ts[a])):
-            if hi <= lo:
-                continue
-            region = tuple(
-                slice(lo, hi)
-                if ax == a
-                else (
-                    slice(los[ax], his[ax])
-                    if ax in odd[:idx_a]
-                    else slice(None)
-                )
-                for ax in range(C.ndim)
-            )
-            pred[region] = linear_region(region)
+    for region, *stencil in plan:
+        pred[region] = _combine(*stencil)
     return pred
 
 
@@ -279,8 +279,8 @@ def predict_dequant_block(
 ) -> np.ndarray | None:
     """Fused predict + dequantize of one sub-block (DESIGN.md §10).
 
-    Mirrors :func:`predict_block`'s region decomposition exactly, but
-    each region runs the compiled ``jit.combine_dequant`` kernel, which
+    Walks the same region plan as :func:`predict_block`, but each
+    region runs the compiled ``jit.combine_dequant`` kernel, which
     computes the combine *and* the quantizer reconstruction formula in
     one pass, writing straight into the sub-block — no materialized
     prediction array, no second dequantize sweep.  Returns the
@@ -291,8 +291,8 @@ def predict_dequant_block(
 
     Eligibility: the compiled kernels loaded, linear or diagonal-cubic
     interpolation (direct and tensor-cubic stay on the reference), at
-    most 4 dims, and region corner counts within the kernel's 16-view
-    limit.
+    most 4 dims, at most 16 corner views, and one code per sub-block
+    point.
     """
     if interp not in ("linear", "cubic") or (
         interp == "cubic" and mode == "tensor"
@@ -303,85 +303,21 @@ def predict_dequant_block(
     odd = _validate(C, eps, ts)
     if any(t == 0 for t in ts):
         return np.empty(ts, dtype=C.dtype)
-    j = len(odd)
-    narr = (1 << j) * (2 if interp == "cubic" else 1)
+    narr = (1 << len(odd)) * (2 if interp == "cubic" else 1)
     if C.ndim > 4 or narr > 16:
         return None
     if codes.size != int(np.prod(ts)):
         return None
 
-    restrict = tuple(
-        slice(0, ts[a]) if a in set(odd) else slice(None)
-        for a in range(C.ndim)
-    )
-    shifted = _fill_shifts(
-        C, shift_cache if shift_cache is not None else {}, odd
-    )
     out = np.empty(ts, dtype=C.dtype)
     qv = codes.reshape(ts)
-
-    def linear_region(region: tuple[slice, ...] | None) -> bool:
-        corners = []
-        for delta in itertools.product((0, 1), repeat=j):
-            arr = shifted[frozenset(a for a, d in zip(odd, delta) if d)][
-                restrict
-            ]
-            corners.append(arr if region is None else arr[region])
-        q = qv if region is None else qv[region]
-        o = out if region is None else out[region]
-        return jit.combine_dequant(
-            corners, (), 0.5**j, 0.0, q, o, eb, radius, f32_mode
-        )
-
-    if interp == "linear":
-        return out if linear_region(None) else None
-
-    los = {a: 1 for a in odd}
-    his = {a: min(C.shape[a] - 2, ts[a]) for a in odd}
-    if any(his[a] <= los[a] for a in odd):
-        return out if linear_region(None) else None
-
-    def slab(delta_map: dict[int, int]) -> tuple[slice, ...]:
-        return tuple(
-            slice(los[a] + delta_map[a], his[a] + delta_map[a])
-            if a in set(odd)
-            else slice(None)
-            for a in range(C.ndim)
-        )
-
-    near = [
-        C[slab({a: d for a, d in zip(odd, delta)})]
-        for delta in itertools.product((0, 1), repeat=j)
-    ]
-    outer = [
-        C[slab({a: d for a, d in zip(odd, delta)})]
-        for delta in itertools.product((-1, 2), repeat=j)
-    ]
-    target = tuple(
-        slice(los[a], his[a]) if a in set(odd) else slice(None)
-        for a in range(C.ndim)
-    )
-    wn, wo = _CUBIC_WEIGHTS[j]
-    if not jit.combine_dequant(
-        near, outer, wn, wo, qv[target], out[target], eb, radius, f32_mode
+    for region, near, outer, wn, wo in _grid_plan(
+        C, odd, ts, interp, shift_cache
     ):
-        return None
-    for idx_a, a in enumerate(odd):
-        for lo, hi in ((0, los[a]), (his[a], ts[a])):
-            if hi <= lo:
-                continue
-            region = tuple(
-                slice(lo, hi)
-                if ax == a
-                else (
-                    slice(los[ax], his[ax])
-                    if ax in odd[:idx_a]
-                    else slice(None)
-                )
-                for ax in range(C.ndim)
-            )
-            if not linear_region(region):
-                return None
+        if not jit.combine_dequant(
+            near, outer, wn, wo, qv[region], out[region], eb, radius, f32_mode
+        ):
+            return None
     return out
 
 
@@ -403,7 +339,7 @@ def interp_axis_midpoints(
     cut = tuple(
         slice(0, t) if a == axis else slice(None) for a in range(C.ndim)
     )
-    pred = _linear_combine([C[cut], shifted[cut]], 1)
+    pred = _combine([C[cut], shifted[cut]], [], 0.5, 0.0)
     if interp == "linear":
         return pred
     lo, hi = 1, min(C.shape[axis] - 2, t)
@@ -415,12 +351,8 @@ def interp_axis_midpoints(
                 for a in range(C.ndim)
             )
 
-        target = tuple(
-            slice(lo, hi) if a == axis else slice(None)
-            for a in range(C.ndim)
-        )
-        pred[target] = _cubic_combine(
-            [C[sl(0)], C[sl(1)]], [C[sl(-1)], C[sl(2)]], 1
+        pred[sl(0)] = _combine(
+            [C[sl(0)], C[sl(1)]], [C[sl(-1)], C[sl(2)]], *_CUBIC_WEIGHTS[1]
         )
     return pred
 
@@ -503,7 +435,7 @@ def predict_points(
         corner({a: d for a, d in zip(odd, delta)}, clamp=True)
         for delta in itertools.product((0, 1), repeat=j)
     ]
-    pred = _linear_combine(corners, j)
+    pred = _combine(corners, [], 0.5**j, 0.0)
     if interp == "linear":
         return pred
 
@@ -532,5 +464,5 @@ def predict_points(
         sub_corner({a: d for a, d in zip(odd, delta)})
         for delta in itertools.product((-1, 2), repeat=j)
     ]
-    pred[mask] = _cubic_combine(near, outer, j)
+    pred[mask] = _combine(near, outer, *_CUBIC_WEIGHTS[j])
     return pred

@@ -300,6 +300,8 @@ def dequantize(
     """
     pred = np.asarray(pred)
     codes = np.asarray(codes)
+    if codes.size != pred.size:  # a damaged archive's code stream, say
+        raise ValueError(f"{codes.size} codes for {pred.size} predictions")
     pflat = pred.reshape(-1)
     f32_mode = f32 and _f32_mode(pred.dtype, pred.dtype, eb, radius)
     recon = jit.dequantize(codes, pflat, eb, radius, f32_mode)

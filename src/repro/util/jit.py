@@ -883,6 +883,8 @@ def dequantize(
     lib = _lib()
     if lib is None or not _eligible(codes, np.uint32):
         return None
+    if pflat.size != codes.size:  # the kernel reads codes.size predictions
+        return None
     n = codes.size
     if f32_mode:
         if not _eligible(pflat, np.float32):
@@ -1030,6 +1032,36 @@ def szx_unpack(
     return out
 
 
+def _views(arrs: list[np.ndarray], io: tuple = ()):
+    """Marshal equally-shaped views for the strided ``<= 4``-D kernels:
+    ``(ptrs, strides, shape)`` ctypes arrays over ``arrs`` then ``io``,
+    byte strides padded to 4 leading dims (extent 1, stride 0).  ``io``
+    (the fused kernel's codes and output) is exempt from the dtype check
+    and the 16-view limit.  None when the kernels cannot take the views:
+    rank 0 or above 4, empty, over 16 views, or a shape (in ``arrs``,
+    also a dtype) unlike the first view's."""
+    a0 = arrs[0]
+    shape, dt, ndim = a0.shape, a0.dtype, a0.ndim
+    if not 0 < ndim <= 4 or len(arrs) > 16 or a0.size == 0:
+        return None
+    pad = (0,) * (4 - ndim)
+    strides: list[int] = []
+    for a in arrs:
+        if a.shape != shape or a.dtype != dt:
+            return None
+        strides += pad + a.strides
+    for a in io:
+        if a.shape != shape:
+            return None
+        strides += pad + a.strides
+    views = [*arrs, *io]
+    return (
+        (_ptr * len(views))(*[a.ctypes.data for a in views]),
+        (_i64 * len(strides))(*strides),
+        (_i64 * 4)(*(1,) * (4 - ndim), *shape),
+    )
+
+
 def combine(
     near, outer, wn: float, wo: float
 ) -> np.ndarray | None:
@@ -1040,32 +1072,20 @@ def combine(
     if lib is None:
         return None
     arrs = list(near) + list(outer)
-    a0 = arrs[0]
-    dt = a0.dtype
+    dt = arrs[0].dtype
     if dt == np.float32:
         fn, scalar = lib.stz_combine_f32, _f32
     elif dt == np.float64:
         fn, scalar = lib.stz_combine_f64, _f64
     else:
         return None
-    shape = a0.shape
-    ndim = a0.ndim
-    if ndim == 0 or ndim > 4 or len(arrs) > 16 or a0.size == 0:
+    views = _views(arrs)
+    if views is None:
         return None
-    for a in arrs[1:]:
-        if a.dtype != dt or a.shape != shape:
-            return None
-    pad = 4 - ndim
-    c_shape = (ctypes.c_int64 * 4)(*([1] * pad), *shape)
-    flat_strides: list[int] = []
-    for a in arrs:
-        flat_strides.extend([0] * pad)
-        flat_strides.extend(a.strides)
-    c_strides = (ctypes.c_int64 * (4 * len(arrs)))(*flat_strides)
-    c_ptrs = (ctypes.c_void_p * len(arrs))(*[a.ctypes.data for a in arrs])
-    out = np.empty(shape, dtype=dt)
+    ptrs, strides, shape = views
+    out = np.empty(arrs[0].shape, dtype=dt)
     fn(
-        c_ptrs, len(near), len(outer), c_strides, c_shape,
+        ptrs, len(near), len(outer), strides, shape,
         scalar(dt.type(wn)), scalar(dt.type(wo)), out.ctypes.data,
     )
     return out
@@ -1095,8 +1115,7 @@ def combine_dequant(
     if lib is None:
         return False
     arrs = list(near) + list(outer)
-    a0 = arrs[0]
-    dt = a0.dtype
+    dt = arrs[0].dtype
     if out.dtype != dt or codes.dtype != np.uint32:
         return False
     if dt == np.float32:
@@ -1108,42 +1127,31 @@ def combine_dequant(
         fn, scalar = lib.stz_dqc_f64, _f64
     else:
         return False
-    shape = a0.shape
-    ndim = a0.ndim
-    if ndim == 0 or ndim > 4 or len(arrs) > 16 or a0.size == 0:
-        return False
-    if out.shape != shape or codes.shape != shape:
-        return False
-    for a in arrs[1:]:
-        if a.dtype != dt or a.shape != shape:
-            return False
-    if ndim >= 2 and shape[-1] < 8:
+    shape = out.shape
+    ndim = len(shape)
+    thin = 2 <= ndim <= 4 and shape[-1] < 8
+    if thin and all(a.shape == shape for a in (*arrs, codes)):
         # Boundary-shell regions fix one axis to a 1-2 element run; with
         # that axis innermost the kernel pays full per-row setup for
         # every element.  Rotate the longest axis innermost — a pure
-        # view permutation applied to every operand, so the elementwise
-        # walk (and hence the result) is unchanged.
+        # view permutation applied to every operand (hence the shape
+        # guard), so the elementwise walk and the result are unchanged.
         best = max(range(ndim), key=lambda a: shape[a])
         if shape[best] > shape[-1]:
             perm = tuple(a for a in range(ndim) if a != best) + (best,)
             arrs = [a.transpose(perm) for a in arrs]
             codes = codes.transpose(perm)
             out = out.transpose(perm)
-            shape = arrs[0].shape
-    pad = 4 - ndim
-    c_shape = (ctypes.c_int64 * 4)(*([1] * pad), *shape)
-    flat_strides: list[int] = []
-    for a in arrs:
-        flat_strides.extend([0] * pad)
-        flat_strides.extend(a.strides)
-    c_strides = (ctypes.c_int64 * (4 * len(arrs)))(*flat_strides)
-    c_ptrs = (ctypes.c_void_p * len(arrs))(*[a.ctypes.data for a in arrs])
-    c_qs = (ctypes.c_int64 * 4)(*([0] * pad), *codes.strides)
-    c_os = (ctypes.c_int64 * 4)(*([0] * pad), *out.strides)
+    views = _views(arrs, (codes, out))
+    if views is None:
+        return False
+    ptrs, strides, c_shape = views
+    n = len(arrs)  # codes, then out, follow the corner views
     fn(
-        c_ptrs, len(near), len(outer), c_strides, c_shape,
+        ptrs, len(near), len(outer), strides, c_shape,
         scalar(dt.type(wn)), scalar(dt.type(wo)),
-        codes.ctypes.data, c_qs, out.ctypes.data, c_os,
+        ptrs[n], ctypes.byref(strides, 32 * n),
+        ptrs[n + 1], ctypes.byref(strides, 32 * (n + 1)),
         _f64(2.0 * eb), radius,
     )
     return True
@@ -1162,9 +1170,6 @@ def scatter(dst: np.ndarray, src: np.ndarray) -> bool:
         return False
     if not src.flags.c_contiguous:
         return False
-    ndim = dst.ndim
-    if ndim == 0 or ndim > 4 or dst.size == 0:
-        return False
     itemsize = dst.dtype.itemsize
     if itemsize == 4:
         fn = lib.stz_scatter32
@@ -1172,8 +1177,9 @@ def scatter(dst: np.ndarray, src: np.ndarray) -> bool:
         fn = lib.stz_scatter64
     else:
         return False
-    pad = 4 - ndim
-    c_shape = (ctypes.c_int64 * 4)(*([1] * pad), *dst.shape)
-    c_ds = (ctypes.c_int64 * 4)(*([0] * pad), *dst.strides)
-    fn(src.ctypes.data, dst.ctypes.data, c_ds, c_shape)
+    views = _views([dst])
+    if views is None:
+        return False
+    ptrs, strides, shape = views
+    fn(src.ctypes.data, ptrs[0], strides, shape)
     return True

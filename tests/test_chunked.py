@@ -49,7 +49,6 @@ from repro.core.parallel import (
     EXECUTORS,
     WorkerPool,
     _slice_spans,
-    effective_threads,
     effective_workers,
     engine_executor,
     execute_map,
@@ -170,8 +169,6 @@ class TestExecutorLayer:
             resolve_executor("mpi", 4)
 
     def test_worker_resolution_shared_between_facades(self):
-        for req in (None, 0, 1, 2, 8, 10_000):
-            assert effective_threads(req) == effective_workers(req)
         assert effective_workers(None) == 1
         assert effective_workers(2) == 2
 

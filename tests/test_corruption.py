@@ -23,6 +23,9 @@ harness in :mod:`repro.testing`.
 
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,13 +43,17 @@ from repro.core.integrity import (
 from repro.core.parallel import execute_map, fork_available
 from repro.core.stream import (
     _FRAME_DTYPE,
+    KIND_RESIDUAL_Q,
     MultiFrameReader,
     MultiFrameWriter,
     ShardedReader,
     StreamReader,
+    StreamWriter,
     add_archive_checksum,
 )
 from repro.core.streaming import StreamingDecompressor
+from repro.encoding.huffman import huffman_encode
+from repro.encoding.lossless import compress_bytes
 from repro.testing import (
     WorkerKiller,
     corrupt_chunk_payload,
@@ -55,6 +62,7 @@ from repro.testing import (
     flip_byte,
     truncate_at,
 )
+from repro.util.sections import pack_sections
 
 EB = 1e-3
 
@@ -251,6 +259,59 @@ class TestUncheckedStructuralMatrix:
             report = verify_archive(blob)
             assert not report.corrupt
             assert report.unchecked  # reported, not silently "ok"
+
+    @pytest.mark.parametrize("jit_mode", ["1", "0"])
+    def test_oversized_code_stream_rejected(
+        self, plain_v1, jit_mode, tmp_path
+    ):
+        """A finest-level residual segment swapped for a constant
+        Huffman stream of 16,000,000 codes — far more than its
+        sub-block has points — must raise a clean ValueError on both
+        kernel paths (the compiled dequantize would otherwise read that
+        many predictions past the end of the prediction array).  The
+        decode runs in a child interpreter so a crash is a failed
+        assertion, not a dead test run."""
+        reader = StreamReader(plain_v1)
+        head = reader.header
+        finest = max(seg.level for seg in head.segments)
+        target = next(
+            seg
+            for seg in head.segments
+            if seg.level == finest and seg.kind == KIND_RESIDUAL_Q
+        )
+        codes = np.full(16_000_000, head.config.quant_radius, np.uint32)
+        oversized = pack_sections(
+            [
+                compress_bytes(huffman_encode(codes), head.config.zlib_level),
+                struct.pack("<Q", 0),  # no outliers
+            ]
+        )
+        writer = StreamWriter(head.shape, head.dtype, head.config, head.abs_eb)
+        for seg in head.segments:
+            payload = oversized if seg is target else reader.read_segment(seg)
+            writer.add_segment(seg.level, seg.eps, seg.kind, payload)
+        path = tmp_path / "oversized.stz"
+        path.write_bytes(writer.tobytes())
+
+        src = str(Path(api.__file__).parents[2])  # the tree holding repro
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "from repro.core import api\n"
+                "api.decompress(open(sys.argv[1], 'rb').read())\n",
+                str(path),
+            ],
+            env={**os.environ, "STZ_JIT": jit_mode, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
+        assert proc.stderr.strip().splitlines()[-1].startswith(
+            "ValueError"
+        ), proc.stderr[-500:]
 
 
 def _set_row_offset(blob: bytes, row: int, offset: int) -> bytes:
@@ -665,8 +726,6 @@ class TestGoldenArchivesStayUnchecked:
     and keep decoding byte-exactly (covered by test_golden)."""
 
     def test_all_golden_fixtures(self):
-        from pathlib import Path
-
         golden = Path(__file__).parent / "golden"
         names = sorted(p.name for p in golden.glob("*.stz"))
         assert names, "golden fixtures missing"

@@ -47,9 +47,9 @@ from repro.core.partition import (
 )
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.predict import (
+    _CUBIC_WEIGHTS,
     _clamp_shift,
-    _cubic_combine,
-    _linear_combine,
+    _combine,
     _predict_block_tensor,
     _validate,
 )
@@ -297,7 +297,7 @@ def _ref_predict_block(C, eps, ts, interp="cubic", mode="diagonal"):
         shifted[frozenset(a for a, d in zip(odd, delta) if d)][restrict]
         for delta in itertools.product((0, 1), repeat=j)
     ]
-    pred = _linear_combine(corners, j)
+    pred = _combine(corners, [], 0.5**j, 0.0)
     if interp == "linear":
         return pred
     los = {a: 1 for a in odd}
@@ -325,7 +325,7 @@ def _ref_predict_block(C, eps, ts, interp="cubic", mode="diagonal"):
         slice(los[a], his[a]) if a in set(odd) else slice(None)
         for a in range(C.ndim)
     )
-    pred[target] = _cubic_combine(near, outer, j)
+    pred[target] = _combine(near, outer, *_CUBIC_WEIGHTS[j])
     return pred
 
 

@@ -21,8 +21,11 @@ from repro.core.partition import (
 from repro.core.predict import (
     interp_axis_midpoints,
     predict_block,
+    predict_dequant_block,
     predict_points,
 )
+from repro.encoding.quantizer import _f32_mode, dequantize
+from repro.util import jit
 
 
 def _full_index(ts):
@@ -71,6 +74,72 @@ class TestGridGatherEquality:
             predict_points(
                 C, (1, 0), (np.array([0]), np.array([0])), origin=(0, 0)
             )
+
+
+#: coarse lattices with every extent 1-5 on every axis: the cubic
+#: interior (``k`` in ``[1, n-3]``) is empty below ``n = 4``
+_COARSE_SHAPES = {
+    1: [(n,) for n in range(1, 6)],
+    2: list(itertools.product(range(1, 6), repeat=2)),
+    3: [(1, 2, 3), (4, 5, 1), (3, 4, 5), (5, 5, 4)],
+    4: [(1, 2, 3, 4), (5, 4, 3, 2), (4, 5, 4, 5)],
+}
+
+
+def _target_shapes(shape, eps):
+    """The nonempty sub-block shapes of ``eps``: ``n`` or ``n - 1`` on
+    each odd axis (odd and even fine extents)."""
+    choices = [(n, n - 1) if e else (n,) for n, e in zip(shape, eps)]
+    return [ts for ts in itertools.product(*choices) if all(ts)]
+
+
+class TestFusedDecode:
+    """The compiled fused decode walks the predictor's region plan; with
+    outliers scattered it must equal the reference predict_block +
+    dequantize byte for byte."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize(
+        "dtype,f32",
+        [(np.float64, False), (np.float32, False), (np.float32, True)],
+    )
+    def test_matches_predict_then_dequantize(
+        self, ndim, interp, dtype, f32, rng
+    ):
+        radius, eb = 1 << 15, 1e-3
+        f32_mode = f32 and _f32_mode(
+            np.dtype(dtype), np.dtype(dtype), eb, radius
+        )
+        with jit.override(True):
+            if not jit.has("dqc_f32"):
+                pytest.skip("compiled kernels unavailable")
+            for shape in _COARSE_SHAPES[ndim]:
+                C = rng.normal(size=shape).astype(dtype)
+                for eps in nonzero_offsets(ndim):
+                    for ts in _target_shapes(shape, eps):
+                        n = int(np.prod(ts))
+                        codes = rng.integers(
+                            radius - 300, radius + 300, size=n
+                        ).astype(np.uint32)
+                        pos = np.flatnonzero(rng.random(n) < 0.2)
+                        val = rng.normal(size=pos.size).astype(dtype)
+                        got = predict_dequant_block(
+                            C, eps, ts, interp, "diagonal", {}, codes,
+                            eb, radius, f32_mode,
+                        )
+                        if ndim == 4 and interp == "cubic" and all(eps):
+                            assert got is None  # 32 views > kernel's 16
+                            continue
+                        got.reshape(-1)[pos] = val
+                        with jit.override(False):
+                            pred = predict_block(C, eps, ts, interp)
+                            want = dequantize(
+                                codes, pred, eb, pos, val, radius, f32
+                            )
+                        assert got.tobytes() == want.tobytes(), (
+                            shape, eps, ts,
+                        )
 
 
 class TestExactness:
@@ -188,6 +257,25 @@ class TestMidpointOperator:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             interp_axis_midpoints(np.zeros(4), 0, 3, "nearest")
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (5,), (8,), (3, 7), (6, 2), (4, 5, 6), (7, 3, 2)]
+    )
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_agrees_with_predict_block(self, shape, interp, kernels, rng):
+        # SZ3's cascade evaluates this 1D operator instead of the grid
+        # predictor's region plan; on a unit offset they must agree
+        with jit.override(kernels):
+            for dtype in (np.float32, np.float64):
+                C = rng.normal(size=shape).astype(dtype)
+                for a, n in enumerate(shape):
+                    eps = tuple(int(b == a) for b in range(len(shape)))
+                    for t in sorted({n, n - 1} - {0}):
+                        ts = shape[:a] + (t,) + shape[a + 1 :]
+                        mid = interp_axis_midpoints(C, a, t, interp)
+                        blk = predict_block(C, eps, ts, interp)
+                        assert mid.tobytes() == blk.tobytes(), (a, t)
 
     @given(
         st.integers(2, 40),

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import smooth_field
 from repro.core import parallel
-from repro.core.parallel import effective_threads, pmap, pstarmap
+from repro.core.parallel import effective_workers, pmap, pstarmap
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.random_access import stz_decompress_roi
 from repro.util import jit
@@ -17,10 +17,10 @@ KERNEL_MODES = (True, False)
 
 class TestPmap:
     def test_serial_fallbacks(self):
-        assert effective_threads(None) == 1
-        assert effective_threads(0) == 1
-        assert effective_threads(1) == 1
-        assert effective_threads(4) == 4
+        assert effective_workers(None) == 1
+        assert effective_workers(0) == 1
+        assert effective_workers(1) == 1
+        assert effective_workers(4) == 4
 
     def test_order_preserved(self):
         out = pmap(lambda x: x * x, list(range(50)), threads=4)
