@@ -246,6 +246,42 @@ def _as_chunk_error(exc: Exception, entry: ChunkEntry) -> ChunkCorruptionError:
     return err
 
 
+def _decode_verified(
+    entry: ChunkEntry,
+    payload: bytes | memoryview,
+    threads: int | None = None,
+    local: tuple[slice, ...] | None = None,
+) -> np.ndarray:
+    """CRC-check and decode one chunk payload — the whole chunk, or
+    only its chunk-``local`` window.  Any failure surfaces as a
+    :class:`ChunkCorruptionError` with chunk context.  Reading the
+    payload, and what a failure means (``on_error``), stay with the
+    caller.
+
+    A window of an STZ-coded chunk (plain STZ1 blob or 'STZC'-enveloped
+    auto selection) runs the sub-chunk random-access path; foreign
+    codecs and ablation configs decode fully and crop.
+    """
+    try:
+        _check_chunk_payload(entry, payload)
+        if local is not None:
+            if is_selected(payload):
+                inner_id, inner = unwrap_selected(payload)
+            else:
+                inner_id, inner = entry.codec_id, payload
+            if inner_id == CODEC_STZ:
+                try:
+                    return stz_decompress_roi(
+                        inner, local, threads=threads
+                    ).data
+                except NotImplementedError:
+                    pass  # ablation configs: fall back to full decode
+            return _decode_chunk_payload(payload, threads)[local]
+        return _decode_chunk_payload(payload, threads)
+    except Exception as exc:
+        raise _as_chunk_error(exc, entry)
+
+
 def roi_chunk_windows(
     box: tuple[tuple[int, int], ...], info
 ) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
@@ -553,11 +589,11 @@ def _compress_chunk_iter(
             )
             writer.add_chunk(blob, codec_id)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
         window = max(2, n)
-        warm = pool is not None and pool.kind == "thread"
-        tpe = pool.thread_pool() if warm else ThreadPoolExecutor(max_workers=n)
+        owned = pool is None or pool.kind != "thread"
+        if owned:
+            pool = WorkerPool("thread", n)
+        tpe = pool.thread_pool()
         try:
             pending: list = []
             for index in range(plan.nchunks):
@@ -574,8 +610,8 @@ def _compress_chunk_iter(
                 blob, codec_id, _ = fut.result()
                 writer.add_chunk(blob, codec_id)
         finally:
-            if not warm:  # a caller-owned pool outlives this call
-                tpe.shutdown(wait=True)
+            if owned:  # a caller-owned pool outlives this call
+                pool.close()
     remaining = next(it, None)
     if remaining is not None:
         raise ValueError(
@@ -619,9 +655,9 @@ def _decode_worker(state, index: int) -> "ChunkCorruptionError | None":
                 payload = read_extent(fh, entry.offset, entry.length, what)
         else:
             payload = read_extent(src, entry.offset, entry.length, what)
-        _check_chunk_payload(entry, payload)
-        decoded = _decode_chunk_payload(payload, threads)
-        out[plan.chunk(index).slices] = decoded
+        out[plan.chunk(index).slices] = _decode_verified(
+            entry, payload, threads
+        )
     except Exception as exc:
         err = _as_chunk_error(exc, entry)
         if on_error == "raise":
@@ -697,8 +733,7 @@ def decompress_chunked(
             entry = reader.chunk(info.index)
             try:
                 payload = reader.read_chunk(info.index)
-                _check_chunk_payload(entry, payload)
-                result[info.slices] = _decode_chunk_payload(payload, threads)
+                result[info.slices] = _decode_verified(entry, payload, threads)
             except Exception as exc:
                 err = _as_chunk_error(exc, entry)
                 if on_error == "raise":
@@ -833,25 +868,7 @@ def decompress_chunked_roi(
         try:
             if payload is None:
                 payload = reader.read_chunk(index)
-            _check_chunk_payload(entry, payload)
-            # STZ-coded chunks (plain STZ1 blobs *and* 'STZC'-enveloped
-            # auto selections) run the sub-chunk random-access path over
-            # their local window; foreign codecs decode fully and crop
-            if is_selected(payload):
-                inner_id, inner = unwrap_selected(payload)
-            else:
-                inner_id, inner = entry.codec_id, payload
-            sub: np.ndarray | None = None
-            if inner_id == CODEC_STZ:
-                try:
-                    sub = stz_decompress_roi(
-                        inner, local, threads=threads
-                    ).data
-                except NotImplementedError:
-                    sub = None  # ablation configs: fall back to full decode
-            if sub is None:
-                sub = _decode_chunk_payload(payload, threads)[local]
-            out[dest] = sub
+            out[dest] = _decode_verified(entry, payload, threads, local)
         except Exception as exc:
             err = _as_chunk_error(exc, entry)
             if on_error == "raise":

@@ -1,27 +1,28 @@
 """Execution of independent sub-block and chunk tasks.
 
-Two layers share this module:
+Every map in the repo is a map over independent tasks, and every
+pooled map runs on one :class:`WorkerPool`:
 
-* **Thread facade** (:func:`pmap` / :func:`pstarmap`) — the paper's
-  "OMP mode" (Table 3).  STZ's hierarchy makes every (level,
-  parity-offset) sub-block task independent once the coarser lattice is
-  reconstructed, so parallelism is a plain map.  The heavy kernels
-  (interpolation arithmetic, quantization, Huffman bit manipulation)
-  are numpy C loops that release the GIL, and threads avoid pickling
-  multi-MB arrays.
+* **Thread facade** (:func:`pmap`) — the paper's "OMP mode" (Table 3).
+  STZ's hierarchy makes every (level, parity-offset) sub-block task
+  independent once the coarser lattice is reconstructed, so
+  parallelism is a plain map.  The heavy kernels (interpolation
+  arithmetic, quantization, Huffman bit manipulation) release the GIL,
+  and threads avoid pickling multi-MB arrays.
 * **Executor layer** (:func:`resolve_executor` / :func:`execute_map` /
-  :func:`fork_map` / :class:`WorkerPool`) — the chunked engine's worker
-  pool.  ``"serial"`` and ``"thread"`` are what they say; ``"process"``
-  runs a fork-based pool whose workers *inherit* the parent's task
-  payload (the source array or archive buffer) through the fork instead
-  of receiving it by pickle: chunk indices cross the pipe inbound in
+  :class:`WorkerPool`) — the chunked engine's worker pool.
+  ``"serial"`` and ``"thread"`` are what they say; ``"process"`` runs
+  a fork-based pool whose workers *inherit* the parent's task payload
+  (the source array or archive buffer) through the fork instead of
+  receiving it by pickle: chunk indices cross the pipe inbound in
   contiguous per-worker slices (one task and one result pickle per
   worker, not per chunk), and outputs either come back as (small,
   already compressed) bytes or are written into a shared mapping
   (``multiprocessing.shared_memory`` / a file-backed ``np.memmap``) the
-  workers inherited.  A :class:`WorkerPool` handle keeps workers warm
-  across maps; :func:`engine_executor` adds the capacity gate the
-  chunked entry points use to degrade to the serial walk on truly
+  workers inherited.  A caller-owned :class:`WorkerPool` keeps workers
+  warm across maps; without one a map builds a one-shot pool and
+  closes it on exit.  :func:`engine_executor` adds the capacity gate
+  the chunked entry points use to degrade to the serial walk on truly
   1-core hosts.  Hosts without the ``fork`` start method fall back to
   the thread pool — same results, the chunked byte stream is
   deterministic by construction (each chunk's bytes depend only on its
@@ -41,7 +42,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -130,9 +131,9 @@ def engine_executor(executor: str, workers: int | None) -> tuple[str, int]:
     through this gate and degrade them to the serial walk when
     capacity is truly 1 — byte-identical output by the determinism
     contract, never slower than serial.  ``STZ_FORCE_POOLS=1``
-    disables the gate.  Direct :func:`execute_map` / :func:`fork_map`
-    calls are never gated: explicit requests are honored there (the
-    fault-injection tests rely on real pools on any host).
+    disables the gate.  Direct :func:`execute_map` calls are never
+    gated: explicit requests are honored there (the fault-injection
+    tests rely on real pools on any host).
     """
     kind, n = resolve_executor(executor, workers)
     if kind != "serial" and _usable_cpus() < 2 and not force_pools():
@@ -140,28 +141,19 @@ def engine_executor(executor: str, workers: int | None) -> tuple[str, int]:
     return kind, n
 
 
+def _call(fn: Callable[[T], R], x: T) -> R:
+    return fn(x)
+
+
 def pmap(
     fn: Callable[[T], R], items: Sequence[T], threads: int | None = None
 ) -> list[R]:
-    """Order-preserving map, serial or thread-pooled."""
+    """Order-preserving map, serial or thread-pooled (a one-shot
+    :func:`execute_map`; a failed item raises its own exception)."""
     n = effective_workers(threads)
     if n == 1 or len(items) <= 1 or parallel_capacity() < 2:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def pstarmap(
-    fn: Callable[..., R],
-    items: Iterable[tuple],
-    threads: int | None = None,
-) -> list[R]:
-    """`pmap` for argument tuples."""
-    if not isinstance(items, Sequence):
-        # materialize once, only for single-shot iterables; a list/tuple
-        # argument is used in place (pmap only indexes and iterates)
-        items = list(items)
-    return pmap(lambda args: fn(*args), items, threads)
+    return execute_map(_call, items, fn, "thread", n)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +192,14 @@ def resolve_executor(
 
 
 #: payload inherited by fork-pool workers: ``(fn, state)`` set by
-#: :func:`fork_map` immediately before the pool forks.  Module-level on
-#: purpose — fork inheritance is the whole point (no pickling of the
-#: state, which holds the source array / archive buffer / output
-#: mapping).  One pool at a time: ``_FORK_LOCK`` makes the
-#: publish→fork→clear sequence atomic, so a second concurrent caller
-#: (or a nested call — a forked child inherits the lock held) degrades
-#: to the inline serial loop instead of hijacking the first pool's
-#: published ``(fn, state)``.
+#: :meth:`WorkerPool._fork_pool` immediately before the pool forks.
+#: Module-level on purpose — fork inheritance is the whole point (no
+#: pickling of the state, which holds the source array / archive
+#: buffer / output mapping).  One pool at a time: ``_FORK_LOCK`` makes
+#: the publish→fork→clear sequence atomic, so a second concurrent
+#: caller (or a nested call — a forked child inherits the lock held)
+#: degrades to the inline serial loop instead of hijacking the first
+#: pool's published ``(fn, state)``.
 _FORK_STATE: tuple | None = None
 _FORK_LOCK = threading.Lock()
 
@@ -230,13 +222,15 @@ def _fork_invoke_batch(batch):
     the failure unit via per-item ``_ItemFailure`` markers, so the
     retry contract still identifies exactly which items failed."""
     fn, state = _FORK_STATE
-    out = []
-    for item in batch:
-        try:
-            out.append(fn(state, item))
-        except Exception as exc:  # noqa: BLE001 — outcome, re-raised later
-            out.append(_ItemFailure(exc))
-    return out
+    return [_run_item(fn, state, item) for item in batch]
+
+
+def _run_item(fn, state, item):
+    """``fn(state, item)``, or the failure as an outcome."""
+    try:
+        return fn(state, item)
+    except Exception as exc:  # noqa: BLE001 — outcome, re-raised later
+        return _ItemFailure(exc)
 
 
 def _same_payload(old, new) -> bool:
@@ -347,33 +341,33 @@ def _collect_slices(
 
 
 class WorkerPool:
-    """Reusable executor handle: keeps workers warm across
-    :func:`execute_map` calls.
+    """Executor handle: the one place a map pool is built.
 
-    Pool startup is pure overhead charged to every map — thread-stack
-    or fork+interpreter setup, then teardown — and the chunked bench,
-    the streaming subsystem and repeated engine invocations issue many
-    maps back to back.  A ``WorkerPool`` amortizes it: the thread pool
-    is created once and reused unconditionally; a fork pool is reused
-    while the published ``(fn, state)`` pair is the *same objects* as
-    at fork time (children snapshot them when they fork, so different
-    state must repool), and while warm it keeps :data:`_FORK_STATE`
+    Every pooled :func:`execute_map` runs on a ``WorkerPool`` — a
+    caller-owned one that keeps workers warm across maps, or a one-shot
+    one the map builds and closes itself.  Pool startup is pure
+    overhead charged to every map — thread-stack or fork+interpreter
+    setup, then teardown — and the chunked bench, the streaming
+    subsystem and repeated engine invocations issue many maps back to
+    back.  A warm handle amortizes it: the thread pool is created once
+    and reused unconditionally; a fork pool is reused while the
+    published ``(fn, state)`` pair is the *same objects* as at fork
+    time (children snapshot them when they fork, so different state
+    must repool), and while warm it keeps :data:`_FORK_STATE`
     published under :data:`_FORK_LOCK` — late-spawned workers of the
-    same pool still snapshot the right payload, and concurrent
-    :func:`fork_map` callers degrade inline exactly as they would
-    against an in-flight one-shot pool.
+    same pool still snapshot the right payload, and concurrent one-shot
+    process maps degrade inline exactly as they would against an
+    in-flight one-shot pool.
 
-    Thread-safety: the *thread* side is safe to drive from concurrent
-    callers — :meth:`thread_pool` creation is lock-guarded and
-    ``ThreadPoolExecutor`` itself is thread-safe — which is what lets
-    the serve layer funnel every tenant's CPU work onto one shared
-    handle.  The *fork* side is not: :meth:`fork_pool` /
-    :meth:`discard_fork` mutate the warm-pool key, so concurrent fork
-    maps over one handle must be serialized by the caller (one engine
-    invocation or bench loop drives it from one thread; the serve
-    layer holds a mutex around process-executor maps).  Always
-    :meth:`close` (or use as a context manager) — a warm fork pool
-    holds the module fork lock.
+    Thread-safety: both sides are safe to drive from concurrent
+    callers.  The *thread* side takes no lock per map — creation of the
+    thread pool is lock-guarded and ``ThreadPoolExecutor`` itself is
+    thread-safe.  The *fork* side serializes itself: an internal lock
+    is held across a whole fork map (warm-pool lookup or repool, slice
+    collection, discard of a broken or abandoned pool), so concurrent
+    process maps with different ``(fn, state)`` pairs queue and each
+    sees its own payload.  Always :meth:`close` (or use as a context
+    manager) — a warm fork pool holds the module fork lock.
     """
 
     def __init__(self, executor: str, workers: int | None = None):
@@ -383,6 +377,7 @@ class WorkerPool:
         self._proc: ProcessPoolExecutor | None = None
         self._key: tuple | None = None
         self._lock_held = False
+        self._fork_side = threading.Lock()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -401,10 +396,73 @@ class WorkerPool:
                     )
         return self._threads
 
-    def fork_pool(self, fn, state) -> ProcessPoolExecutor | None:
-        """The warm fork pool for ``(fn, state)``, or ``None`` when no
-        pool can run right now (fork unavailable, or another fork pool
-        holds the lock) and the caller should run inline."""
+    def _thread_outcomes(self, fn, items, state, deadline) -> list:
+        """Per-item outcomes over the thread pool.  A ``deadline``
+        expiry cancels every not-yet-started item and raises
+        :class:`TimeoutError`; already-running items finish in the
+        background and their results are discarded — thread pools are
+        not poisoned by abandonment, so a warm pool stays usable."""
+        tpe = self.thread_pool()
+        futures = [tpe.submit(_run_item, fn, state, x) for x in items]
+        outcomes: list = []
+        for i, fut in enumerate(futures):
+            try:
+                outcomes.append(fut.result(timeout=_remaining(deadline)))
+            except TimeoutError:
+                if _expired(deadline):
+                    _cancel_all(futures[i:])
+                    raise _map_timeout(len(futures) - i) from None
+                raise
+        return outcomes
+
+    def _fork_outcomes(
+        self, fn, items, state, nslices: int, deadline
+    ) -> list | None:
+        """Per-item outcomes over the fork pool, or ``None`` when no
+        pool can run here (fork unavailable, or another pool holds the
+        module fork lock — including a nested map inside a forked
+        worker, which inherited it held) and the caller should run
+        inline.
+
+        Items are submitted as ``nslices`` contiguous per-worker slices
+        (:func:`_slice_spans` / :func:`_collect_slices`): one task
+        pickle and one result pickle per worker instead of per chunk,
+        while per-item failure markers keep :func:`execute_map`'s retry
+        pass item-granular.
+
+        Drain-or-discard: if the waiting caller is torn away mid-map —
+        a ``deadline`` expiry, ``KeyboardInterrupt``, anything — the
+        pool is discarded (without waiting on the orphaned in-flight
+        slices) before the exception propagates.  A handle must never
+        come back from an abandoned map still holding live slices: the
+        next map on it would interleave with work the previous caller
+        gave up on, and :meth:`close` would block on it.
+        """
+        remaining = _remaining(deadline)
+        if not self._fork_side.acquire(
+            timeout=-1 if remaining is None else remaining
+        ):
+            raise _map_timeout(len(items))
+        try:
+            proc = self._fork_pool(fn, state)
+            if proc is None:
+                return None
+            try:
+                outcomes, broken = _collect_slices(
+                    proc, items, _slice_spans(len(items), nslices), deadline
+                )
+            except BaseException:
+                self._release_fork(wait=False)
+                raise
+            if broken:
+                self._release_fork()
+            return outcomes
+        finally:
+            self._fork_side.release()
+
+    def _fork_pool(self, fn, state) -> ProcessPoolExecutor | None:
+        """The warm fork pool for ``(fn, state)`` (repooled when the
+        payload changed), or ``None`` when no pool can run right now."""
         global _FORK_STATE
         if self._proc is not None:
             if self._key[0] is fn and _same_payload(self._key[1], state):
@@ -426,17 +484,12 @@ class WorkerPool:
         self._key = (fn, state)
         return self._proc
 
-    def discard_fork(self, wait: bool = True) -> None:
-        """Drop a (broken or abandoned) fork pool so the next call
-        builds afresh.  ``wait=False`` is the cancellation path: a
-        timed-out map must not block behind a worker still chewing an
-        orphaned slice — pending slices are cancelled, running ones
-        finish detached in children that hold their own fork-time
-        snapshot, and the handle (plus the module fork lock) is free
-        for the next map immediately."""
-        self._release_fork(wait)
-
     def _release_fork(self, wait: bool = True) -> None:
+        """Drop the fork pool and free the module fork lock.
+        ``wait=False`` is the cancellation path: pending slices are
+        cancelled, running ones finish detached in children that hold
+        their own fork-time snapshot, and the handle (plus the module
+        fork lock) is free for the next map immediately."""
         global _FORK_STATE
         if self._proc is not None:
             try:
@@ -450,127 +503,15 @@ class WorkerPool:
             self._lock_held = False
             _FORK_LOCK.release()
 
-    def close(self) -> None:
-        self._release_fork()
+    def _shutdown(self, wait: bool) -> None:
+        with self._fork_side:
+            self._release_fork(wait)
         if self._threads is not None:
-            self._threads.shutdown(wait=True)
+            self._threads.shutdown(wait=wait, cancel_futures=not wait)
             self._threads = None
 
-
-def _thread_outcomes(
-    fn: Callable[[object, T], R],
-    items: Sequence[T],
-    state: object,
-    workers: int,
-    pool: WorkerPool | None = None,
-    deadline: float | None = None,
-) -> list:
-    """Per-item outcomes over a thread pool (warm via ``pool``, else
-    one-shot).  A ``deadline`` expiry cancels every not-yet-started
-    item and raises :class:`TimeoutError`; already-running items finish
-    in the background and their results are discarded — thread pools
-    are not poisoned by abandonment, so a warm pool stays usable."""
-
-    def run(x):
-        try:
-            return fn(state, x)
-        except Exception as exc:  # noqa: BLE001 — outcome, re-raised later
-            return _ItemFailure(exc)
-
-    def collect(tpe: ThreadPoolExecutor) -> list:
-        futures = [tpe.submit(run, x) for x in items]
-        outcomes: list = []
-        for i, fut in enumerate(futures):
-            try:
-                outcomes.append(fut.result(timeout=_remaining(deadline)))
-            except TimeoutError:
-                if _expired(deadline):
-                    _cancel_all(futures[i:])
-                    raise _map_timeout(len(futures) - i) from None
-                raise
-        return outcomes
-
-    if pool is not None:
-        return collect(pool.thread_pool())
-    tpe = ThreadPoolExecutor(max_workers=min(workers, len(items)))
-    try:
-        return collect(tpe)
-    finally:
-        # cancellation path: don't block teardown behind abandoned items
-        tpe.shutdown(wait=deadline is None, cancel_futures=True)
-
-
-def _fork_outcomes(
-    fn: Callable[[object, T], R],
-    items: Sequence[T],
-    state: object,
-    workers: int,
-    pool: WorkerPool | None = None,
-    deadline: float | None = None,
-) -> list | None:
-    """Per-item outcomes over the fork pool — warm via ``pool``, else a
-    one-shot pool — or ``None`` when no pool can run here (fork
-    unavailable, or another pool is in flight) and the caller should
-    run inline.
-
-    Items are submitted as contiguous per-worker slices
-    (:func:`_slice_spans` / :func:`_collect_slices`): only one task
-    pickle and one result pickle per worker instead of per chunk,
-    while per-item failure markers keep :func:`execute_map`'s retry
-    pass item-granular.
-
-    Drain-or-discard: if the waiting caller is torn away mid-map — a
-    ``deadline`` expiry, ``KeyboardInterrupt``, anything — a *warm*
-    pool is discarded (without waiting on the orphaned in-flight
-    slices) before the exception propagates.  A warm handle must never
-    come back from an abandoned map still holding live slices: the
-    next map on it would interleave with work the previous caller gave
-    up on, and :meth:`WorkerPool.close` would block on it.
-    """
-    global _FORK_STATE
-    spans = _slice_spans(len(items), workers)
-    if pool is not None:
-        proc = pool.fork_pool(fn, state)
-        if proc is None:
-            return None
-        try:
-            outcomes, broken = _collect_slices(proc, items, spans, deadline)
-        except BaseException:
-            pool.discard_fork(wait=False)
-            raise
-        if broken:
-            pool.discard_fork()
-        return outcomes
-    if not fork_available():
-        return None
-    if not _FORK_LOCK.acquire(blocking=False):
-        # another thread is mid publish→fork→clear (or this is a nested
-        # call inside a forked worker, which inherited the lock held):
-        # run inline rather than overwrite its published state
-        return None
-    try:
-        _FORK_STATE = (fn, state)
-        try:
-            ctx = mp.get_context("fork")
-            pool_exec = ProcessPoolExecutor(
-                max_workers=min(workers, len(items)), mp_context=ctx
-            )
-            try:
-                outcomes, _ = _collect_slices(
-                    pool_exec, items, spans, deadline
-                )
-            except BaseException:
-                # one-shot pool, torn-away caller: cancel what hasn't
-                # started and leave the rest to finish detached —
-                # waiting here would hang the very caller that timed out
-                pool_exec.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool_exec.shutdown(wait=True)
-            return outcomes
-        finally:
-            _FORK_STATE = None
-    finally:
-        _FORK_LOCK.release()
+    def close(self) -> None:
+        self._shutdown(wait=True)
 
 
 def _settle(
@@ -600,39 +541,6 @@ def _settle(
     return outcomes
 
 
-def fork_map(
-    fn: Callable[[object, T], R],
-    items: Sequence[T],
-    state: object,
-    workers: int,
-) -> list[R]:
-    """Order-preserving ``fn(state, item)`` map over a fork pool.
-
-    ``state`` (and ``fn``) reach the workers through fork inheritance:
-    they are published in :data:`_FORK_STATE` before the pool is
-    created, so the only bytes pickled per task are ``item`` (a chunk
-    index) and the return value.  Callers that need zero-copy *output*
-    put a shared mapping (``SharedMemory`` buffer or file-backed
-    memmap) into ``state`` and have ``fn`` write into it — shared
-    mappings, unlike copy-on-write anonymous memory, propagate child
-    writes back to the parent.
-
-    Falls back to a serial loop when ``workers`` resolves to 1, fork
-    is unavailable (:func:`resolve_executor` normally routes those
-    cases away first), or another fork pool is already in flight —
-    concurrent or nested pools would race on :data:`_FORK_STATE`.
-    A child exception fails the whole map (first failed item in item
-    order, like the serial loop); callers that want degradation go
-    through :func:`execute_map` with ``retry``.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(state, x) for x in items]
-    outcomes = _fork_outcomes(fn, items, state, workers)
-    if outcomes is None:
-        return [fn(state, x) for x in items]
-    return _settle(outcomes, fn, items, state, retry=0)
-
-
 def execute_map(
     fn: Callable[[object, T], R],
     items: Sequence[T],
@@ -647,9 +555,16 @@ def execute_map(
 
     The one entry point the chunked engine uses for both directions:
     ``serial`` is the reference loop, ``thread`` shares ``state`` by
-    virtue of threads, ``process`` goes through the fork pool.
-    Results are returned in item order for every executor — the
-    byte-determinism contract of the v3 container.
+    virtue of threads, ``process`` goes through the fork pool, whose
+    workers inherit ``fn`` and ``state`` (published in
+    :data:`_FORK_STATE` before the fork) so only items and results are
+    pickled — unpicklable state is fine, and callers that need
+    zero-copy *output* put a shared mapping (``SharedMemory`` buffer or
+    file-backed memmap) into ``state``.  Results are returned in item
+    order for every executor — the byte-determinism contract of the v3
+    container.  Where no fork pool can run (another one is in flight,
+    or this is a nested map inside a forked worker) the map runs
+    inline.
 
     ``retry`` bounds a serial re-execution pass over items whose pooled
     run failed: a crashed worker (``BrokenProcessPool`` — OOM killer,
@@ -663,41 +578,46 @@ def execute_map(
 
     ``pool`` (a :class:`WorkerPool` of the matching kind) reuses warm
     workers across calls instead of paying pool startup/teardown per
-    map; a mismatched or absent handle falls back to a one-shot pool.
-    The handle's lifetime belongs to the caller (the chunked engine
-    scopes one to an engine invocation; benches to the timing loop).
+    map; a mismatched or absent handle means a one-shot ``WorkerPool``
+    that the map closes on exit.  The handle's lifetime belongs to the
+    caller (the chunked engine scopes one to an engine invocation;
+    benches to the timing loop).
 
     ``timeout`` (seconds) bounds the whole map's wall clock.  On
     expiry the map raises :class:`TimeoutError`: not-yet-started work
     is cancelled, in-flight pooled work is abandoned (running thread
-    items finish detached and are discarded; a warm fork pool is
-    discarded without waiting so its orphaned slices can never leak
-    into a later map on the same handle), and the timeout is *never*
-    converted into per-item failures — a retry pass serially re-running
-    everything the deadline cut off would defeat it.  This is the serve
-    layer's request-timeout contract: a cancelled caller leaves every
-    pool either drained or discarded, never poisoned.
+    items finish detached and are discarded; a fork pool is discarded
+    without waiting so its orphaned slices can never leak into a later
+    map on the same handle), and the timeout is *never* converted into
+    per-item failures — a retry pass serially re-running everything
+    the deadline cut off would defeat it.  This is the serve layer's
+    request-timeout contract: a cancelled caller leaves every pool
+    either drained or discarded, never poisoned.
     """
     kind, n = resolve_executor(executor, workers)
     deadline = None if timeout is None else time.monotonic() + timeout
-    if pool is not None and pool.kind != kind:
-        pool = None
-    if kind == "serial" or len(items) <= 1:
+    outcomes = None
+    if kind != "serial" and len(items) > 1:
+        one_shot = pool is None or pool.kind != kind
+        if one_shot:
+            pool = WorkerPool(kind, min(n, len(items)))
+        try:
+            if kind == "thread":
+                outcomes = pool._thread_outcomes(fn, items, state, deadline)
+            else:
+                outcomes = pool._fork_outcomes(fn, items, state, n, deadline)
+        except BaseException:
+            if one_shot:
+                # torn-away caller: don't block behind abandoned work
+                pool._shutdown(wait=False)
+            raise
+        if one_shot:
+            pool.close()
+    if outcomes is None:
         out = []
         for x in items:
             if _expired(deadline):
                 raise _map_timeout(len(items) - len(out))
             out.append(fn(state, x))
         return out
-    if kind == "thread":
-        outcomes = _thread_outcomes(fn, items, state, n, pool, deadline)
-    else:
-        outcomes = _fork_outcomes(fn, items, state, n, pool, deadline)
-        if outcomes is None:
-            out = []
-            for x in items:
-                if _expired(deadline):
-                    raise _map_timeout(len(items) - len(out))
-                out.append(fn(state, x))
-            return out
     return _settle(outcomes, fn, items, state, retry)

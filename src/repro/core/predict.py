@@ -44,13 +44,16 @@ import numpy as np
 from repro.core.partition import Offset
 from repro.util import jit
 
-# diagonal cubic weights per number of odd axes (Eqs. 6, 7, 8):
-# pred = wn * sum(nearest 2^j) - wo * sum(outer-diagonal 2^j)
-_CUBIC_WEIGHTS = {
-    1: (9.0 / 16.0, 1.0 / 16.0),
-    2: (9.0 / 32.0, 1.0 / 32.0),
-    3: (9.0 / 64.0, 1.0 / 64.0),
-}
+
+def _cubic_weights(j: int) -> tuple[float, float]:
+    """Diagonal cubic weights ``(wn, wo) = (9, 1) / 2**(j + 3)`` for
+    ``j`` odd axes: pred = wn * sum(nearest 2^j) - wo * sum(outer-
+    diagonal 2^j).  Eqs. 6-8 give j = 1..3 (1/16, 1/32, 1/64); dividing
+    by a power of two is exact, so the rule reproduces them bit for bit
+    and extends them to any rank."""
+    scale = 2.0 ** (j + 3)
+    return 9.0 / scale, 1.0 / scale
+
 
 INTERP_KINDS = ("direct", "linear", "cubic")
 CUBIC_MODES = ("diagonal", "tensor")
@@ -216,7 +219,7 @@ def _grid_plan(
         tuple(slice(lo, hi) for lo, hi in inner),
         taps((0, 1)),
         taps((-1, 2)),
-        *_CUBIC_WEIGHTS[j],
+        *_cubic_weights(j),
     )]
     for i, a in enumerate(odd):
         for run in ((0, inner[a][0]), (inner[a][1], ts[a])):
@@ -352,7 +355,7 @@ def interp_axis_midpoints(
             )
 
         pred[sl(0)] = _combine(
-            [C[sl(0)], C[sl(1)]], [C[sl(-1)], C[sl(2)]], *_CUBIC_WEIGHTS[1]
+            [C[sl(0)], C[sl(1)]], [C[sl(-1)], C[sl(2)]], *_cubic_weights(1)
         )
     return pred
 
@@ -464,5 +467,5 @@ def predict_points(
         sub_corner({a: d for a, d in zip(odd, delta)})
         for delta in itertools.product((-1, 2), repeat=j)
     ]
-    pred[mask] = _combine(near, outer, *_CUBIC_WEIGHTS[j])
+    pred[mask] = _combine(near, outer, *_cubic_weights(j))
     return pred

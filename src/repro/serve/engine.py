@@ -9,14 +9,13 @@ All tenants' CPU-bound work funnels through one :class:`ServeEngine`:
 * one shared warm :class:`~repro.core.parallel.WorkerPool` that every
   dispatched call drives through :func:`~repro.core.parallel.
   execute_map` — chunk-level decode/compress parallelism is pooled
-  across tenants instead of per-request pool startup.  The fork side
-  of a ``WorkerPool`` is not thread-safe (its warm-pool key is caller
-  state), so process-executor maps are serialized by ``_fork_mutex``;
-  the thread side is driven concurrently as designed — and since the
-  compiled decode kernels (DESIGN.md §10) release the GIL for the
-  Huffman/reconstruction work, concurrent cache-miss decodes on the
-  thread executor genuinely overlap instead of serializing on the
-  interpreter;
+  across tenants instead of per-request pool startup.  The handle
+  serializes its own fork side, so process-executor maps from
+  concurrent requests queue inside it; the thread side is driven
+  concurrently as designed — and since the compiled decode kernels
+  (DESIGN.md §10) release the GIL for the Huffman/reconstruction work,
+  concurrent cache-miss decodes on the thread executor genuinely
+  overlap instead of serializing on the interpreter;
 * the process-wide :class:`~repro.serve.cache.DecodedChunkCache`,
   consulted before any decode work is scheduled and populated only
   with *verified* chunks (checksum passed and decode succeeded —
@@ -40,7 +39,6 @@ tests) through it; production servers leave it ``None``.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -48,13 +46,11 @@ from typing import Callable
 import numpy as np
 
 from repro.core.chunked import (
-    _check_chunk_payload,
-    _decode_chunk_payload,
+    _decode_verified,
     compress_chunked,
     roi_chunk_windows,
 )
 from repro.core.config import STZConfig
-from repro.core.integrity import ChunkCorruptionError
 from repro.core.parallel import WorkerPool, execute_map, resolve_executor
 from repro.core.random_access import normalize_roi
 from repro.serve.cache import DecodedChunkCache
@@ -76,26 +72,18 @@ def _check_deadline(deadline: float | None, what: str) -> None:
 def _decode_task(state, index: int) -> np.ndarray:
     """Executor task: verify + decode one whole chunk.
 
-    Raises :class:`ChunkCorruptionError` with chunk context on any
-    failure — under ``execute_map(retry=1)`` a *deterministic* failure
-    (real corruption) re-raises identically on the serial retry, while
-    a killed worker's items re-run cleanly; retries can heal pool
-    casualties but never mask corruption.
+    Raises :class:`~repro.core.integrity.ChunkCorruptionError` with
+    chunk context on any failure — under ``execute_map(retry=1)`` a
+    *deterministic* failure (real corruption) re-raises identically on
+    the serial retry, while a killed worker's items re-run cleanly;
+    retries can heal pool casualties but never mask corruption.
     """
     blob, entries, prologue = state
     if prologue is not None:
         prologue(index)
     entry = entries[index]
     payload = memoryview(blob)[entry.offset : entry.offset + entry.length]
-    _check_chunk_payload(entry, payload)
-    try:
-        return np.ascontiguousarray(_decode_chunk_payload(payload, None))
-    except ChunkCorruptionError:
-        raise
-    except Exception as exc:  # noqa: BLE001 — structured 422, see above
-        err = ChunkCorruptionError(entry.index, entry.codec, str(exc))
-        err.__cause__ = exc
-        raise err from exc
+    return np.ascontiguousarray(_decode_verified(entry, payload))
 
 
 class ServeEngine:
@@ -119,7 +107,6 @@ class ServeEngine:
             max_workers=dispatchers, thread_name_prefix="stz-serve"
         )
         self.cache = DecodedChunkCache(cache_bytes)
-        self._fork_mutex = threading.Lock()
         self.fault_prologue = fault_prologue
 
     # -- offload ----------------------------------------------------------
@@ -134,19 +121,11 @@ class ServeEngine:
     # -- blocking engine calls (dispatch-pool side) -----------------------
 
     def _map(self, fn, items, state, deadline: float | None) -> list:
-        """One ``execute_map`` over the shared pool, deadline-bounded,
-        fork side serialized (`WorkerPool` thread-safety contract)."""
-        kwargs = dict(
-            retry=1, pool=self.pool, timeout=_seconds_left(deadline)
-        )
+        """One deadline-bounded ``execute_map`` over the shared pool."""
         try:
-            if self.kind == "process":
-                with self._fork_mutex:
-                    return execute_map(
-                        fn, items, state, self.kind, self.workers, **kwargs
-                    )
             return execute_map(
-                fn, items, state, self.kind, self.workers, **kwargs
+                fn, items, state, self.kind, self.workers, retry=1,
+                pool=self.pool, timeout=_seconds_left(deadline),
             )
         except TimeoutError as exc:
             raise RequestTimeout(str(exc)) from None
@@ -232,19 +211,11 @@ class ServeEngine:
         — the serve timeout tests therefore drive the decode paths.
         """
         _check_deadline(deadline, "compression started")
-        if self.kind == "process":
-            with self._fork_mutex:
-                blob = compress_chunked(
-                    data, eb, eb_mode, config=config, chunks=chunks,
-                    executor=self.kind, workers=self.workers,
-                    pool=self.pool, checksum=True,
-                )
-        else:
-            blob = compress_chunked(
-                data, eb, eb_mode, config=config, chunks=chunks,
-                executor=self.kind, workers=self.workers,
-                pool=self.pool, checksum=True,
-            )
+        blob = compress_chunked(
+            data, eb, eb_mode, config=config, chunks=chunks,
+            executor=self.kind, workers=self.workers,
+            pool=self.pool, checksum=True,
+        )
         _check_deadline(deadline, "compression finished")
         return blob
 

@@ -53,9 +53,7 @@ from repro.core.parallel import (
     engine_executor,
     execute_map,
     fork_available,
-    fork_map,
     parallel_capacity,
-    pstarmap,
     resolve_executor,
 )
 from repro.core.partition import ChunkPlan, normalize_chunk_shape
@@ -183,7 +181,7 @@ class TestExecutorLayer:
             assert out == [7 + x * x for x in items], kind
 
     @pytest.mark.skipif(not fork_available(), reason="no fork")
-    def test_fork_map_inherits_state_without_pickling(self):
+    def test_one_shot_fork_inherits_state_without_pickling(self):
         # the state is intentionally unpicklable: fork inheritance is
         # the only way it can reach the workers
         state = (lambda x: x * 3, np.arange(10))
@@ -192,35 +190,73 @@ class TestExecutorLayer:
             f, arr = st
             return int(f(arr[i]))
 
-        assert fork_map(fn, list(range(10)), state, 2) == [
+        assert execute_map(fn, list(range(10)), state, "process", 2) == [
             3 * i for i in range(10)
         ]
 
-    def test_pstarmap_accepts_iterables_and_sequences(self):
-        def add(a, b):
-            return a + b
-
-        assert pstarmap(add, [(1, 2), (3, 4)]) == [3, 7]
-        assert pstarmap(add, ((i, i) for i in range(4))) == [0, 2, 4, 6]
-
     @pytest.mark.skipif(not fork_available(), reason="no fork")
-    def test_fork_map_concurrent_callers_do_not_cross_contaminate(self):
-        # two threads starting fork pools at once must each run their
-        # own (fn, state): the published _FORK_STATE is lock-guarded,
-        # and the loser of the race degrades to the inline serial loop
+    def test_one_shot_fork_concurrent_callers_do_not_cross_contaminate(self):
+        # two threads starting one-shot fork maps at once must each run
+        # their own (fn, state): the published _FORK_STATE is
+        # lock-guarded, and the loser of the race degrades to the
+        # inline serial loop
         from concurrent.futures import ThreadPoolExecutor
 
         def run(tag):
             def fn(state, i):
                 return (state, i)
 
-            return fork_map(fn, list(range(8)), tag, 2)
+            return execute_map(fn, list(range(8)), tag, "process", 2)
 
         for _ in range(5):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(run, ["A", "B"])
             assert a == [("A", i) for i in range(8)]
             assert b == [("B", i) for i in range(8)]
+
+    @pytest.mark.skipif(not fork_available(), reason="no fork")
+    def test_worker_pool_fork_side_serializes_concurrent_callers(self):
+        # one shared handle, several threads, different (fn, state)
+        # pairs: the handle serializes its own fork side, so every
+        # caller gets a pool forked with its own payload
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.core.parallel as par
+
+        def scaled(st, i):
+            arr, scale = st
+            return float(arr[i]) * scale
+
+        def tagged(st, i):
+            return (st, i)
+
+        jobs = [
+            (scaled, (np.arange(6), 1.5), [1.5 * i for i in range(6)]),
+            (scaled, (np.arange(6), 2.0), [2.0 * i for i in range(6)]),
+            (tagged, "A", [("A", i) for i in range(6)]),
+            (tagged, "B", [("B", i) for i in range(6)]),
+        ]
+        start = threading.Barrier(len(jobs))
+        with WorkerPool("process", 2) as pool:
+
+            def run(job):
+                fn, state, _ = job
+                start.wait()
+                return [
+                    execute_map(
+                        fn, list(range(6)), state, "process", 2, pool=pool
+                    )
+                    for _ in range(6)
+                ]
+
+            with ThreadPoolExecutor(max_workers=len(jobs)) as tpe:
+                results = list(tpe.map(run, jobs))
+            for (_, _, want), got in zip(jobs, results):
+                assert got == [want] * 6
+        assert par._FORK_STATE is None
+        assert par._FORK_LOCK.acquire(blocking=False)
+        par._FORK_LOCK.release()
 
     def test_parallel_capacity_is_affinity_aware(self, monkeypatch):
         import repro.core.parallel as par
@@ -250,7 +286,7 @@ class TestExecutorLayer:
         assert engine_executor("process", 4) == ("serial", 1)
         assert engine_executor("thread", 4) == ("serial", 1)
         assert engine_executor("serial", None) == ("serial", 1)
-        # ...but resolve_executor (direct execute_map/fork_map callers)
+        # ...but resolve_executor (direct execute_map callers)
         # still honors the explicit request
         assert resolve_executor("thread", 3) == ("thread", 3)
         # the override keeps pool mechanics testable anywhere

@@ -17,6 +17,8 @@ import pytest
 from conftest import conformance_field, smooth_field
 from helpers import BOUNDED_CODECS, assert_error_bounded
 from repro.core.api import compress_stream, iter_decompress
+from repro.core.chunked import compress_chunked, decompress_chunked
+from repro.util import jit
 
 pytestmark = pytest.mark.conformance
 
@@ -77,13 +79,36 @@ def test_hard_bound_value_edges(codec, variant, dtype):
     )
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 4, 4), (3, 8, 2, 5)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (4, 4, 4, 4),
+        (3, 8, 2, 5),
+        # extents 8-12 give the coarse levels a cubic interior on all
+        # 4 or 5 odd axes (the rank-free weight rule, DESIGN.md §2)
+        (8, 8, 8, 8),
+        (10, 10, 10, 10),
+        (12, 12, 12, 12),
+        (9, 9, 9, 9, 9),
+        (12, 12, 12, 12, 12),
+    ],
+)
 def test_stz_four_dimensional(shape):
     compress, decompress = BOUNDED_CODECS["stz"]
     data = field_for(shape, np.float32)
     abs_eb = 1e-3 * float(data.max() - data.min())
-    recon = decompress(compress(data, abs_eb))
-    assert_error_bounded(data, recon, abs_eb, context=f"stz {shape}")
+    blobs = []
+    for mode in (True, False):
+        with jit.override(mode):
+            blob = compress(data, abs_eb)
+            chunked = compress_chunked(data, abs_eb, chunks=6)
+            for recon in (decompress(blob), decompress_chunked(chunked)):
+                assert_error_bounded(
+                    data, recon, abs_eb, context=f"stz {shape} jit={mode}"
+                )
+            blobs.append((blob, chunked))
+    # the compiled kernels and the NumPy reference emit the same bytes
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize("shape", [(12, 10, 8), (1, 9, 9), (17,)])

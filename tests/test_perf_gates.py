@@ -47,9 +47,9 @@ from repro.core.partition import (
 )
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.predict import (
-    _CUBIC_WEIGHTS,
     _clamp_shift,
     _combine,
+    _cubic_weights,
     _predict_block_tensor,
     _validate,
 )
@@ -325,7 +325,7 @@ def _ref_predict_block(C, eps, ts, interp="cubic", mode="diagonal"):
         slice(los[a], his[a]) if a in set(odd) else slice(None)
         for a in range(C.ndim)
     )
-    pred[target] = _combine(near, outer, *_CUBIC_WEIGHTS[j])
+    pred[target] = _combine(near, outer, *_cubic_weights(j))
     return pred
 
 

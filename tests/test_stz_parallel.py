@@ -6,7 +6,7 @@ import pytest
 
 from conftest import smooth_field
 from repro.core import parallel
-from repro.core.parallel import effective_workers, pmap, pstarmap
+from repro.core.parallel import effective_workers, pmap
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.random_access import stz_decompress_roi
 from repro.util import jit
@@ -25,10 +25,6 @@ class TestPmap:
     def test_order_preserved(self):
         out = pmap(lambda x: x * x, list(range(50)), threads=4)
         assert out == [x * x for x in range(50)]
-
-    def test_starmap(self):
-        out = pstarmap(lambda a, b: a + b, [(1, 2), (3, 4)], threads=2)
-        assert out == [3, 7]
 
     def test_exceptions_propagate(self):
         def boom(x):
