@@ -28,12 +28,14 @@ layer branches on it.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from repro.core.config import STZConfig
 from repro.core.partition import (
+    Box,
     Offset,
     interleave,
     lattice_shape,
@@ -58,11 +60,7 @@ from repro.core.stream import (
     StreamReader,
     StreamWriter,
 )
-from repro.encoding.huffman import (
-    huffman_decode,
-    huffman_decode_many,
-    huffman_encode_many,
-)
+from repro.encoding.huffman import huffman_decode_many, huffman_encode_many
 from repro.encoding.lossless import compress_bytes, decompress_bytes
 from repro.encoding.quantizer import _f32_mode, dequantize_many, quantize_many
 from repro.sz3.compressor import (
@@ -153,19 +151,6 @@ def _split_residual_payload(
     )
     val = np.frombuffer(blob, dtype=dtype, offset=8 + 4 * n_out)
     return decompress_bytes(sections[0]), pos, val
-
-
-def _decode_residual_codes(
-    payload: bytes | memoryview, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Huffman-decode one sub-block; returns (codes, out_pos, out_val).
-
-    This is the paper's "L{2,3} dec." stage: it decodes the *whole*
-    sub-block (intra-sub-block encoding has dependencies) but performs
-    no prediction work.
-    """
-    huff, pos, val = _split_residual_payload(payload, dtype)
-    return huffman_decode(huff), pos, val
 
 
 # ---------------------------------------------------------------------------
@@ -394,166 +379,206 @@ def stz_decompress(
         raise ValueError(
             f"level must be in [1, {config.levels}], got {target}"
         )
-    timer = timer if timer is not None else StageTimer()
-    strides = level_strides(config.levels)
-    offsets = nonzero_offsets(header.ndim)
-
     if config.partition_only:
         return _decompress_partition_only(reader, target, threads)
+    boxes = [
+        tuple((0, n) for n in lattice_shape(header.shape, stride))
+        for stride in level_strides(config.levels)[:target]
+    ]
+    timer = timer if timer is not None else StageTimer()
+    return _walk(reader, boxes, threads, timer)[0]
 
-    seg1 = header.segments_at(1)[0]
+
+def _walk(
+    reader: StreamReader,
+    boxes: list[Box],
+    threads: int | None,
+    timer: StageTimer,
+) -> tuple[np.ndarray, int, int]:
+    """The one level walk under full, progressive and ROI decode.
+
+    ``boxes[l - 1]`` is the window of the level-``l`` lattice to
+    rebuild, for ``l = 1 .. len(boxes)``: the whole lattice at every
+    level for a full decode, the dilated ROI windows for random access
+    (each window covers the stencils of the next finer one).  Level 1
+    is decoded whole and cropped; every finer level
+
+    1. skips the sub-blocks the window misses,
+    2. entropy-decodes the rest whole (intra-sub-block bit
+       dependencies) in one batched :func:`huffman_decode_many` call,
+    3. reconstructs the window's points of each through the fused
+       :func:`predict_dequant_block` kernel, falling back to
+       :func:`predict_block` + :func:`dequantize_many` (bit-identical),
+       and scatters the outliers that fall inside the window,
+    4. interleaves them with the aligned points of the coarse window.
+
+    A full decode is this walk over whole windows, so ROI equals a
+    cropped full decode by construction.  Returns the target window
+    and the (decoded, skipped) sub-block counts.
+    """
+    header = reader.header
+    config = header.config
+    quantized = config.residual_codec == "quantize"
+    shapes = [
+        lattice_shape(header.shape, s) for s in level_strides(config.levels)
+    ]
+    offsets = nonzero_offsets(header.ndim)
+    zero = (0,) * header.ndim
+    decoded = skipped = 0
+
     with timer.time("l1_sz3"):
-        C = sz3_decompress(reader.read_segment(seg1))
-    for lvl in range(2, target + 1):
-        fine_shape = lattice_shape(header.shape, strides[lvl - 1])
+        C = sz3_decompress(reader.read_segment(header.segments_at(1)[0]))
+    C = np.ascontiguousarray(C[_slices(boxes[0])])
+    for lvl in range(2, len(boxes) + 1):
+        cbox, fbox = boxes[lvl - 2], boxes[lvl - 1]
+        origin = tuple(lo for lo, _ in cbox)
+        parity = tuple(lo & 1 for lo, _ in fbox)
         ebl = config.level_eb(header.abs_eb, lvl)
         segs = {s.eps: s for s in header.segments_at(lvl)}
+        # sub-block eps holds the fine points f = 2k + eps: its window
+        # is the k with f in fbox
+        windows = {
+            eps: tuple(
+                ((lo - e + 1) // 2, (hi - e + 1) // 2)
+                for (lo, hi), e in zip(fbox, eps)
+            )
+            for eps in offsets
+        }
+        needed = [
+            eps for eps in offsets
+            if all(lo < hi for lo, hi in windows[eps])
+        ]
+        for eps in needed:
+            # the encoder writes an empty segment only for a sub-block
+            # without points; any other is damage, not zero residuals
+            if not segs[eps].length:
+                raise ValueError(
+                    f"level {lvl} sub-block {eps}: empty segment for "
+                    f"{math.prod(subblock_shape(shapes[lvl - 1], eps))} "
+                    "points"
+                )
+        decoded += len(needed)
+        skipped += len(offsets) - len(needed)
 
         with timer.time(f"l{lvl}_decode"):
-            decoded = _decode_level(reader, segs, offsets, header, config, threads)
-        with timer.time(f"l{lvl}_predict"):
-            if config.residual_codec == "quantize":
-                blocks = _reconstruct_level_q(
-                    C, decoded, fine_shape, ebl, config, header.dtype,
-                    threads,
+            payloads = _decode_subblocks(
+                reader,
+                [segs[eps] for eps in needed],
+                [math.prod(subblock_shape(shapes[lvl - 1], e))
+                 for e in needed],
+                header.dtype, quantized, threads,
+            )
+
+        def reconstruct(item):
+            eps, payload = item
+            ts = subblock_shape(shapes[lvl - 1], eps)
+            box = windows[eps]
+            window = dict(box=box, origin=origin, full_shape=shapes[lvl - 2])
+            args = (C, eps, ts, config.interp, config.cubic_mode, shift_cache)
+            if not quantized:
+                return predict_block(*args, **window) + payload[_slices(box)]
+            codes, pos, val = payload
+            pos, val = _outliers_in(pos, val, ts, box)
+            rec = predict_dequant_block(
+                *args, codes, ebl, config.quant_radius, f32_mode, **window
+            )
+            if rec is None:
+                pred = predict_block(*args, **window)
+                codes = np.ascontiguousarray(codes.reshape(ts)[_slices(box)])
+                (flat,) = dequantize_many(
+                    [codes.ravel()], [pred], ebl, [pos], [val],
+                    config.quant_radius, config.f32_quant,
                 )
-            else:
-                shift_cache = _level_shift_cache(C, config)
+                return flat.reshape(pred.shape)
+            if pos.size:
+                rec.reshape(-1)[pos] = val
+            return rec
 
-                def reconstruct(item, _C=C, _fs=fine_shape, _sc=shift_cache):
-                    eps, residual = item
-                    ts = subblock_shape(_fs, eps)
-                    if residual is None:
-                        return eps, np.empty(ts, dtype=header.dtype)
-                    pred = predict_block(
-                        _C, eps, ts, config.interp, config.cubic_mode, _sc
-                    )
-                    return eps, pred + residual
-
-                blocks = dict(pmap(reconstruct, decoded, threads))
+        with timer.time(f"l{lvl}_predict"):
+            f32_mode = config.f32_quant and _f32_mode(
+                header.dtype, header.dtype, ebl, config.quant_radius
+            )
+            shift_cache = _level_shift_cache(C, config)
+            recs = pmap(reconstruct, list(zip(needed, payloads)), threads)
+            # the level's codes and shifted coarse copies are dead: free
+            # them before the reassembly allocates the finer lattice
+            del payloads, shift_cache
         with timer.time(f"l{lvl}_reassemble"):
-            C = interleave(C, blocks, fine_shape)
-    return C
+            # every part goes to its parity within the window — flipped
+            # on axes where the window starts at an odd index; the
+            # aligned points come straight from the coarse window, and
+            # a skipped sub-block has no points inside it
+            wshape = tuple(hi - lo for lo, hi in fbox)
+
+            def flip(eps):
+                return tuple(e ^ p for e, p in zip(eps, parity))
+
+            local = {flip(eps): rec for eps, rec in zip(needed, recs)}
+            local[flip(zero)] = C[
+                tuple(
+                    slice((lo + 1) // 2 - o, (hi + 1) // 2 - o)
+                    for (lo, hi), o in zip(fbox, origin)
+                )
+            ]
+            for eps in set(offsets) - set(needed):
+                shape = subblock_shape(wshape, flip(eps))
+                local[flip(eps)] = np.empty(shape, dtype=header.dtype)
+            C = interleave(local.pop(zero), local, wshape)
+    return C, decoded, skipped
 
 
-def _reconstruct_level_q(
-    C: np.ndarray,
-    decoded: list[tuple[Offset, object]],
-    fine_shape: tuple[int, ...],
-    ebl: float,
-    config: STZConfig,
-    dtype: np.dtype,
-    threads: int | None,
-) -> dict[Offset, np.ndarray]:
-    """Predict + dequantize the sub-blocks of one level.
-
-    Each sub-block first tries the compiled fused
-    :func:`~repro.core.predict.predict_dequant_block` kernel — predict
-    combine and dequantize arithmetic in one GIL-releasing native pass,
-    no materialized prediction array (DESIGN.md §10).  Sub-blocks the
-    kernel declines run the reference :func:`predict_block` +
-    :func:`dequantize_many`, which is bit-identical.  The sub-blocks
-    map across the pool when ``threads`` asks for it.
-    """
-    f32_mode = config.f32_quant and _f32_mode(
-        dtype, dtype, ebl, config.quant_radius
-    )
-    shift_cache = _level_shift_cache(C, config)
-
-    def reconstruct(item):
-        eps, payload = item
-        ts = subblock_shape(fine_shape, eps)
-        if payload is None:
-            return eps, np.empty(ts, dtype=dtype)
-        codes, pos, val = payload
-        rec = predict_dequant_block(
-            C, eps, ts, config.interp, config.cubic_mode, shift_cache,
-            codes, ebl, config.quant_radius, f32_mode,
-        )
-        if rec is None:
-            pred = predict_block(
-                C, eps, ts, config.interp, config.cubic_mode, shift_cache
-            )
-            (flat,) = dequantize_many(
-                [codes], [pred], ebl, [pos], [val], config.quant_radius,
-                config.f32_quant,
-            )
-            return eps, flat.reshape(ts)
-        if pos.size:
-            rec.reshape(-1)[pos] = val
-        return eps, rec
-
-    return dict(pmap(reconstruct, decoded, threads))
-
-
-def _decode_payload(
+def _decode_subblocks(
     reader: StreamReader,
-    seg: SegmentInfo,
+    segs: list[SegmentInfo],
+    counts: list[int],
     dtype: np.dtype,
-    config: STZConfig,
-):
-    """Entropy-decode one segment (no prediction)."""
-    if seg.length == 0:
-        return None
-    payload = reader.read_segment(seg)
-    if seg.kind == KIND_RESIDUAL_Q:
-        return _decode_residual_codes(payload, dtype)
-    if seg.kind == KIND_RESIDUAL_SZ3:
-        return sz3_decompress(payload)
-    raise ValueError(f"unexpected segment kind {seg.kind}")
-
-
-def _decode_level(
-    reader: StreamReader,
-    segs: dict[Offset, SegmentInfo],
-    offsets: list[Offset],
-    header,
-    config: STZConfig,
+    quantized: bool,
     threads: int | None,
-) -> list[tuple[Offset, object]]:
-    """Entropy-decode all sub-blocks of one level.
+) -> list:
+    """Entropy-decode whole sub-block segments (no prediction): each
+    becomes ``(codes, out_pos, out_val)`` for the quantize codec, or
+    the residual array for the sz3-residual ablation.
 
-    Quantized sub-blocks are batched into one
-    :func:`huffman_decode_many` call.  With the compiled decoder that
-    is one GIL-releasing native call per segment (threaded across the
-    pool when ``threads`` asks for it); on the pure-NumPy reference it
-    is a single interleaved decode loop for the whole level, which
-    beats per-segment decoding even against a thread pool (the loop is
-    numpy-dispatch-bound and holds the GIL, so batching amortizes the
-    dispatch across every stream at once).
+    Quantized sub-blocks are batched into one :func:`huffman_decode_many`
+    call, each stream checked against its sub-block's point count
+    (``counts``) before its output is allocated.  ``threads`` fan the
+    compiled per-segment decoders across a pool (they release the
+    GIL); the NumPy reference walks every stream in one lockstep loop.
     """
-    if config.residual_codec != "quantize":
+    if not quantized:
         return pmap(
-            lambda eps: (
-                eps,
-                _decode_payload(reader, segs[eps], header.dtype, config),
-            ),
-            offsets,
+            lambda seg: sz3_decompress(reader.read_segment(seg)),
+            segs,
             threads,
         )
-    parts = []
-    huffs = []
-    for eps in offsets:
-        seg = segs[eps]
-        if seg.length == 0:
-            parts.append((eps, None, None, None))
-            continue
-        huff, pos, val = _split_residual_payload(
-            reader.read_segment(seg), header.dtype
-        )
-        parts.append((eps, len(huffs), pos, val))
-        huffs.append(huff)
-    # threads fan the compiled per-segment decoders across a pool (the
-    # kernels release the GIL); on the reference path the batched
-    # lockstep loop ignores them — it already amortizes across streams
-    decoded_codes = huffman_decode_many(huffs, threads=threads) if huffs else []
-    out: list[tuple[Offset, object]] = []
-    for eps, idx, pos, val in parts:
-        if idx is None:
-            out.append((eps, None))
-        else:
-            out.append((eps, (decoded_codes[idx], pos, val)))
-    return out
+    parts = [
+        _split_residual_payload(reader.read_segment(seg), dtype)
+        for seg in segs
+    ]
+    codes = huffman_decode_many(
+        [huff for huff, _, _ in parts], threads=threads, counts=counts
+    ) if parts else []
+    return [(q, pos, val) for q, (_, pos, val) in zip(codes, parts)]
+
+
+def _slices(box: Box) -> tuple[slice, ...]:
+    return tuple(slice(lo, hi) for lo, hi in box)
+
+
+def _outliers_in(
+    pos: np.ndarray, val: np.ndarray, ts: tuple[int, ...], box: Box
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outliers of a ``ts``-shaped sub-block that fall inside
+    ``box``, with positions flattened in the box's own shape."""
+    shape = tuple(hi - lo for lo, hi in box)
+    if shape == tuple(ts) or not pos.size:
+        return pos, val
+    idx = np.unravel_index(pos, ts)
+    inside = np.logical_and.reduce(
+        [(i >= lo) & (i < hi) for i, (lo, hi) in zip(idx, box)]
+    )
+    local = tuple(i[inside] - lo for i, (lo, _) in zip(idx, box))
+    return np.ravel_multi_index(local, shape), val[inside]
 
 
 def _decompress_partition_only(

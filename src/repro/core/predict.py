@@ -20,16 +20,19 @@ so points whose stencil leaves the lattice fall back to linear, and the
 final midpoint of an even-sized axis (no right neighbor) falls back to a
 direct copy — which the clamped-index linear formula produces naturally.
 
-Every stencil is one combine, ``sum(near)*wn - sum(outer)*wo``, so the
-code paths agree *bit-for-bit*:
+Every stencil is one combine, ``sum(near)*wn - sum(outer)*wo``, and
+one region plan (:func:`_grid_plan`) decides which stencil covers which
+slab of the requested points, so every path agrees *bit-for-bit*:
 
-* :func:`predict_block` — full sub-block, pure slicing (fast path used
-  by compression and full decompression).  One region plan decides
-  which stencil covers which slab of the sub-block; the fused decode
-  :func:`predict_dequant_block` walks the same plan,
-* :func:`predict_points` — arbitrary point sets via gathers (used by
-  random-access decompression; the equality of the two paths is what
-  makes ``ROI decompression == full decompression`` exact),
+* :func:`predict_block` — a parity sub-block, or any box of it, by
+  pure slicing.  Compression predicts whole sub-blocks; decompression
+  predicts the box a window covers, from the coarse window alone
+  (``origin``/``full_shape``: the cubic-interior test and the edge
+  clamp follow the whole lattice, so a window prediction equals the
+  crop of the whole-block one — which is what makes ``ROI
+  decompression == cropped full decompression`` exact),
+* :func:`predict_dequant_block` — the fused decode, walking the same
+  plan through the compiled ``jit.combine_dequant`` kernel,
 * :func:`interp_axis_midpoints` — the 1D operator of the tensor mode
   and of SZ3's cascade, kept off the plan because those batches are
   many and thin.
@@ -38,10 +41,11 @@ code paths agree *bit-for-bit*:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from repro.core.partition import Offset
+from repro.core.partition import Box, Offset
 from repro.util import jit
 
 
@@ -132,105 +136,136 @@ def uses_shift_cache(interp: str, mode: str) -> bool:
     )
 
 
-def _odd_axes(C: np.ndarray, eps: Offset) -> list[int]:
-    if len(eps) != C.ndim:
-        raise ValueError("eps rank mismatch with coarse array")
+def _validate(
+    C: np.ndarray,
+    eps: Offset,
+    ts: tuple[int, ...],
+    box: Box | None,
+    origin: tuple[int, ...] | None,
+    full_shape: tuple[int, ...] | None,
+) -> tuple[list[int], Box, tuple[int, ...], tuple[int, ...]]:
+    """Check one prediction request; returns the odd axes and the
+    window ``(box, origin, full)`` with its defaults filled in: the
+    whole sub-block ``[0, ts)`` predicted from the whole lattice ``C``.
+
+    A coarse window ``C`` sits at ``origin`` in a lattice of shape
+    ``full_shape``.  It must cover every cell the box's stencils read —
+    ``k - 1 .. k + 2`` on an odd axis, clipped to the lattice — so that
+    its own edge clamp only acts where the lattice's does.
+    """
+    if (origin is None) != (full_shape is None):
+        raise ValueError("origin and full_shape must be given together")
+    full = C.shape if full_shape is None else tuple(full_shape)
+    org = (0,) * C.ndim if origin is None else tuple(origin)
+    box = tuple((0, t) for t in ts) if box is None else tuple(box)
+    if not len(eps) == len(ts) == len(full) == len(org) == len(box) == C.ndim:
+        raise ValueError("eps/ts/window rank mismatch with coarse array")
     odd = [a for a in range(C.ndim) if eps[a]]
     if not odd:
         raise ValueError("eps must be a nonzero parity offset")
-    return odd
-
-
-def _validate(C: np.ndarray, eps: Offset, ts: tuple[int, ...]) -> list[int]:
-    if len(ts) != C.ndim:
-        raise ValueError("ts rank mismatch with coarse array")
-    odd = _odd_axes(C, eps)
-    for a in range(C.ndim):
-        if eps[a] == 0 and ts[a] != C.shape[a]:
+    for a, ((lo, hi), o, n, w) in enumerate(zip(box, org, full, C.shape)):
+        if eps[a] == 0 and ts[a] != n:
             raise ValueError(
-                f"aligned axis {a}: target size {ts[a]} != coarse {C.shape[a]}"
+                f"aligned axis {a}: target size {ts[a]} != coarse {n}"
             )
-        if eps[a] == 1 and not (
-            ts[a] in (C.shape[a], C.shape[a] - 1) or C.shape[a] <= 1
-        ):
+        if eps[a] == 1 and not (ts[a] in (n, n - 1) or n <= 1):
             raise ValueError(
                 f"odd axis {a}: target size {ts[a]} incompatible with "
-                f"coarse {C.shape[a]}"
+                f"coarse {n}"
             )
-    return odd
+        if not 0 <= lo <= hi <= ts[a]:
+            raise ValueError(
+                f"axis {a}: box {(lo, hi)} outside the sub-block extent "
+                f"{ts[a]}"
+            )
+        need = (max(lo - 1, 0), min(hi + 2, n)) if eps[a] else (lo, hi)
+        if not (0 <= o <= need[0] and need[1] <= o + w <= n):
+            raise ValueError(
+                f"axis {a}: coarse window [{o}, {o + w}) does not cover "
+                f"cells {need} of the box {(lo, hi)}"
+            )
+    return odd, box, org, full
 
 
 # ---------------------------------------------------------------------------
-# grid path
+# region plan
 # ---------------------------------------------------------------------------
 
 def _grid_plan(
     C: np.ndarray,
     odd: list[int],
-    ts: tuple[int, ...],
+    box: Box,
     interp: str,
     shift_cache: dict | None,
+    origin: tuple[int, ...],
+    full: tuple[int, ...],
 ) -> list[tuple]:
-    """The stencil regions of one parity sub-block of shape ``ts``:
-    disjoint ``(region, near, outer, wn, wo)`` tuples, each ``region``
-    of the sub-block predicted as ``sum(near)*wn - sum(outer)*wo``.
+    """The stencil regions of the sub-block points in ``box``: disjoint
+    ``(region, near, outer, wn, wo)`` tuples, each ``region`` (relative
+    to the box) predicted as ``sum(near)*wn - sum(outer)*wo``.  ``C``
+    is the coarse window at ``origin`` in a lattice of shape ``full``.
 
-    Linear, or cubic with an empty interior, is one whole-block region
+    Linear, or cubic with an empty interior, is one whole-box region
     (the clamped +1 shift handles every boundary, copying at the last
     midpoint of an even axis).  Cubic is the interior slab where the
-    4-point stencil fits (``k`` in ``[1, cs-3]`` per odd axis, within
-    the target extent), then linear on the boundary shell in disjoint
-    slabs: slab ``i`` fixes odd axis ``a_i`` to one boundary run and
-    keeps the earlier odd axes on the interior.  Each point gets the
-    element-wise formula of evaluating linear everywhere and overwriting
-    the interior, so values are bit-identical to that and to
-    :func:`predict_points`.
+    4-point stencil fits (``k`` in ``[1, full-3]`` per odd axis, within
+    the box), then linear on the boundary shell in disjoint slabs: slab
+    ``i`` fixes odd axis ``a_i`` to one boundary run and keeps the
+    earlier odd axes on the interior.  Each point gets the element-wise
+    formula of evaluating linear everywhere and overwriting the
+    interior, so values are bit-identical to that whatever the box.
     """
     j = len(odd)
     shifted = _fill_shifts(
         C, shift_cache if shift_cache is not None else {}, odd
     )
-    whole = [(0, t) for t in ts]
+    start = tuple(lo for lo, _ in box)
 
-    def linear(bounds: list[tuple[int, int]]) -> tuple:
-        region = tuple(slice(lo, hi) for lo, hi in bounds)
+    def linear(bounds) -> tuple:
+        at = _at(bounds, origin)
         corners = [
-            shifted[frozenset(a for a, d in zip(odd, delta) if d)][region]
+            shifted[frozenset(a for a, d in zip(odd, delta) if d)][at]
             for delta in itertools.product((0, 1), repeat=j)
         ]
+        region = at if start == origin else _at(bounds, start)
         return region, corners, [], 0.5**j, 0.0
 
-    inner = list(whole)
+    inner = list(box)
     for a in odd:
-        inner[a] = (1, min(C.shape[a] - 2, ts[a]))
+        inner[a] = (max(1, box[a][0]), min(full[a] - 2, box[a][1]))
     if interp == "linear" or any(inner[a][1] <= inner[a][0] for a in odd):
-        return [linear(whole)]
+        return [linear(box)]
 
     def taps(offsets: tuple[int, int]) -> list[np.ndarray]:
         views = []
         for delta in itertools.product(offsets, repeat=j):
-            box = list(inner)
+            bounds = list(inner)
             for a, d in zip(odd, delta):
-                box[a] = (inner[a][0] + d, inner[a][1] + d)
-            views.append(C[tuple(slice(lo, hi) for lo, hi in box)])
+                bounds[a] = (inner[a][0] + d, inner[a][1] + d)
+            views.append(C[_at(bounds, origin)])
         return views
 
-    plan = [(
-        tuple(slice(lo, hi) for lo, hi in inner),
-        taps((0, 1)),
-        taps((-1, 2)),
-        *_cubic_weights(j),
-    )]
+    plan = [
+        (_at(inner, start), taps((0, 1)), taps((-1, 2)), *_cubic_weights(j))
+    ]
     for i, a in enumerate(odd):
-        for run in ((0, inner[a][0]), (inner[a][1], ts[a])):
+        for run in ((box[a][0], inner[a][0]), (inner[a][1], box[a][1])):
             if run[0] < run[1]:
                 bounds = [
-                    inner[b] if b in odd[:i] else whole[b]
+                    inner[b] if b in odd[:i] else box[b]
                     for b in range(C.ndim)
                 ]
                 bounds[a] = run
                 plan.append(linear(bounds))
     return plan
+
+
+def _at(bounds, origin) -> tuple[slice, ...]:
+    """Slices selecting the cells ``bounds`` (per-axis ``(lo, hi)``)
+    of an array whose first cell sits at ``origin``."""
+    return tuple(
+        [slice(lo - o, hi - o) for (lo, hi), o in zip(bounds, origin)]
+    )
 
 
 def predict_block(
@@ -240,8 +275,19 @@ def predict_block(
     interp: str = "cubic",
     mode: str = "diagonal",
     shift_cache: dict | None = None,
+    *,
+    box: Box | None = None,
+    origin: tuple[int, ...] | None = None,
+    full_shape: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """Predict the full parity-``eps`` sub-block of shape ``ts``.
+    """Predict the parity-``eps`` sub-block of shape ``ts``, or only
+    its points ``box`` (per-axis ``(lo, hi)`` sub-block indices; the
+    result has the box's shape).
+
+    ``C`` is the whole coarse lattice, or a window of it at ``origin``
+    in a lattice of shape ``full_shape`` (see :func:`_validate` for
+    what the window must cover); the result equals the same box of the
+    whole-lattice prediction bit for bit.
 
     ``shift_cache`` (optional) memoizes the clamp-shifted copies of
     ``C`` across calls: the ``2**d - 1`` sub-blocks of one level share
@@ -249,20 +295,26 @@ def predict_block(
     (and reallocating) the same shifted array for every parity offset.
     Callers must pass a fresh dict per coarse lattice ``C``.
     """
-    odd = _validate(C, eps, ts)
-    if any(t == 0 for t in ts):
-        return np.empty(ts, dtype=C.dtype)
+    odd, box, origin, full = _validate(C, eps, ts, box, origin, full_shape)
+    shape = tuple(hi - lo for lo, hi in box)
+    if 0 in shape:
+        return np.empty(shape, dtype=C.dtype)
     if interp not in INTERP_KINDS:
         raise ValueError(f"unknown interp {interp!r}")
     if interp == "cubic" and mode == "tensor":
+        if shape != tuple(ts) or C.shape != full:
+            raise NotImplementedError(
+                "tensor cubic predicts whole sub-blocks only; use "
+                "diagonal mode for random-access decompression"
+            )
         return _predict_block_tensor(C, odd, ts)
     if interp == "direct":
-        return np.ascontiguousarray(C[tuple(slice(0, t) for t in ts)])
+        return np.ascontiguousarray(C[_at(box, origin)])
 
-    plan = _grid_plan(C, odd, ts, interp, shift_cache)
+    plan = _grid_plan(C, odd, box, interp, shift_cache, origin, full)
     if len(plan) == 1:
         return _combine(*plan[0][1:])
-    pred = np.empty(ts, dtype=C.dtype)
+    pred = np.empty(shape, dtype=C.dtype)
     for region, *stencil in plan:
         pred[region] = _combine(*stencil)
     return pred
@@ -279,18 +331,24 @@ def predict_dequant_block(
     eb: float,
     radius: int,
     f32_mode: bool,
+    *,
+    box: Box | None = None,
+    origin: tuple[int, ...] | None = None,
+    full_shape: tuple[int, ...] | None = None,
 ) -> np.ndarray | None:
-    """Fused predict + dequantize of one sub-block (DESIGN.md §10).
+    """Fused predict + dequantize of one sub-block, or of its ``box``
+    (window arguments as for :func:`predict_block`; ``codes`` always
+    holds the whole sub-block's ``prod(ts)`` codes).  DESIGN.md §10.
 
     Walks the same region plan as :func:`predict_block`, but each
     region runs the compiled ``jit.combine_dequant`` kernel, which
     computes the combine *and* the quantizer reconstruction formula in
-    one pass, writing straight into the sub-block — no materialized
+    one pass, writing straight into the result — no materialized
     prediction array, no second dequantize sweep.  Returns the
-    reconstruction (shape ``ts``, outliers **not** yet scattered), or
-    None whenever the compiled path cannot run — the caller falls back
-    to ``predict_block`` + ``dequantize``, which is bit-identical: the
-    kernel replicates the per-element op order of both stages.
+    reconstruction (the box's shape, outliers **not** yet scattered),
+    or None whenever the compiled path cannot run — the caller falls
+    back to ``predict_block`` + ``dequantize``, which is bit-identical:
+    the kernel replicates the per-element op order of both stages.
 
     Eligibility: the compiled kernels loaded, linear or diagonal-cubic
     interpolation (direct and tensor-cubic stay on the reference), at
@@ -303,19 +361,20 @@ def predict_dequant_block(
         return None
     if not jit.has("dqc_f32"):
         return None
-    odd = _validate(C, eps, ts)
-    if any(t == 0 for t in ts):
-        return np.empty(ts, dtype=C.dtype)
+    odd, box, origin, full = _validate(C, eps, ts, box, origin, full_shape)
+    shape = tuple(hi - lo for lo, hi in box)
+    if 0 in shape:
+        return np.empty(shape, dtype=C.dtype)
     narr = (1 << len(odd)) * (2 if interp == "cubic" else 1)
     if C.ndim > 4 or narr > 16:
         return None
-    if codes.size != int(np.prod(ts)):
+    if codes.size != math.prod(ts):
         return None
 
-    out = np.empty(ts, dtype=C.dtype)
-    qv = codes.reshape(ts)
+    out = np.empty(shape, dtype=C.dtype)
+    qv = codes.reshape(ts)[_at(box, (0,) * len(box))]
     for region, near, outer, wn, wo in _grid_plan(
-        C, odd, ts, interp, shift_cache
+        C, odd, box, interp, shift_cache, origin, full
     ):
         if not jit.combine_dequant(
             near, outer, wn, wo, qv[region], out[region], eb, radius, f32_mode
@@ -369,103 +428,3 @@ def _predict_block_tensor(
     for a in odd:
         X = interp_axis_midpoints(X, a, ts[a], "cubic")
     return np.ascontiguousarray(X)
-
-
-# ---------------------------------------------------------------------------
-# gather path (random access)
-# ---------------------------------------------------------------------------
-
-def predict_points(
-    C: np.ndarray,
-    eps: Offset,
-    idx: tuple[np.ndarray, ...],
-    interp: str = "cubic",
-    mode: str = "diagonal",
-    origin: tuple[int, ...] | None = None,
-    full_shape: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Predict arbitrary sub-block points given per-axis index arrays.
-
-    ``idx[a]`` holds the sub-block coordinate of each requested point
-    along axis ``a`` (all arrays the same length).  Bit-identical to
-    :func:`predict_block` at the same points.
-
-    Random-access decompression reconstructs only a *window* of the
-    coarse lattice; pass that window as ``C`` together with its
-    ``origin`` (coarse coordinates of ``C[0,...,0]``) and the
-    ``full_shape`` of the whole lattice.  Indices stay global:
-    boundary clamping and the cubic-stencil test are evaluated against
-    ``full_shape``, so a window prediction equals the full-lattice one
-    wherever the window covers the stencil (the ROI dilation guarantees
-    it does).
-    """
-    odd = _odd_axes(C, eps)
-    if interp == "cubic" and mode == "tensor":
-        raise NotImplementedError(
-            "tensor cubic has no gather path; use diagonal mode for "
-            "random-access decompression"
-        )
-    if interp not in INTERP_KINDS:
-        raise ValueError(f"unknown interp {interp!r}")
-    if (origin is None) != (full_shape is None):
-        raise ValueError("origin and full_shape must be given together")
-    org = origin or (0,) * C.ndim
-    cs = full_shape or C.shape
-    npts = idx[0].size
-    if npts == 0:
-        return np.empty(0, dtype=C.dtype)
-    ix = [np.asarray(i, dtype=np.int64) for i in idx]
-
-    if interp == "direct":
-        return C[tuple(v - o for v, o in zip(ix, org))]
-
-    j = len(odd)
-    odd_set = set(odd)
-
-    def corner(delta_map: dict[int, int], clamp: bool) -> np.ndarray:
-        sel = []
-        for a in range(C.ndim):
-            if a in odd_set:
-                v = ix[a] + delta_map[a]
-                if clamp:
-                    v = np.minimum(v, cs[a] - 1)
-                sel.append(v - org[a])
-            else:
-                sel.append(ix[a] - org[a])
-        return C[tuple(sel)]
-
-    corners = [
-        corner({a: d for a, d in zip(odd, delta)}, clamp=True)
-        for delta in itertools.product((0, 1), repeat=j)
-    ]
-    pred = _combine(corners, [], 0.5**j, 0.0)
-    if interp == "linear":
-        return pred
-
-    # cubic where every odd axis has the full stencil: 1 <= k <= cs-3
-    mask = np.ones(npts, dtype=bool)
-    for a in odd:
-        mask &= (ix[a] >= 1) & (ix[a] <= cs[a] - 3)
-    if not mask.any():
-        return pred
-    sub = [v[mask] for v in ix]
-
-    def sub_corner(delta_map: dict[int, int]) -> np.ndarray:
-        sel = [
-            sub[a] + delta_map[a] - org[a]
-            if a in odd_set
-            else sub[a] - org[a]
-            for a in range(C.ndim)
-        ]
-        return C[tuple(sel)]
-
-    near = [
-        sub_corner({a: d for a, d in zip(odd, delta)})
-        for delta in itertools.product((0, 1), repeat=j)
-    ]
-    outer = [
-        sub_corner({a: d for a, d in zip(odd, delta)})
-        for delta in itertools.product((-1, 2), repeat=j)
-    ]
-    pred[mask] = _combine(near, outer, *_cubic_weights(j))
-    return pred

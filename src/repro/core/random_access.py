@@ -1,48 +1,50 @@
 """Random-access (ROI) decompression (paper §3.3, Table 4).
 
 Reconstructs an arbitrary box (including 2D slices of 3D data) at full
-resolution while touching as little work as possible:
+resolution while touching as little work as possible.  There is no
+separate ROI decoder: the box becomes one window per level — the
+coarser level's window dilated by 2 coarse cells per side to cover the
+cubic stencil (:func:`_coarsen_box`) — and the pipeline's one level
+walk (``repro.core.pipeline._walk``) runs over those windows instead
+of the whole lattices.  The savings follow from the walk:
 
 * **prediction/reassembly savings** — levels 2+ have no intra-level
-  dependencies, so only points inside a *dilated* ROI are predicted and
-  reconstructed; the dilation (2 coarse cells per side per level) covers
-  the cubic interpolation stencil.
+  dependencies, so only the points inside each window are predicted
+  and reconstructed;
 * **decoding savings** — sub-blocks are Huffman-encoded independently,
-  so sub-blocks whose parity pattern cannot intersect the ROI are never
-  entropy-decoded (for a 2D slice of 3D data that skips 4 of 7 finest
-  sub-blocks — the paper's "up to 57%" decode saving); a decoded
+  so sub-blocks whose parity pattern cannot intersect the window are
+  never entropy-decoded (for a 2D slice of 3D data that skips 4 of 7
+  finest sub-blocks — the paper's "up to 57%" decode saving); a decoded
   sub-block is decoded in full (intra-sub-block bit dependencies),
   which is why box access saves little decode time, exactly as Table 4
-  shows.
+  shows;
 * **I/O savings** — the container's segment table lets skipped
   sub-blocks stay unread on disk.
 
-The result is *bit-identical* to cropping a full decompression, which
-the test suite asserts; it follows from the gather-path predictor being
-bit-identical to the grid path.
+A full decode is the same walk over whole windows, and the region plan
+predicts a window bit-identically to the crop of a whole sub-block, so
+the result equals the crop of a full decompression by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.partition import (
-    lattice_shape,
-    level_strides,
-    nonzero_offsets,
-    subblock_shape,
-)
-from repro.core.pipeline import _split_residual_payload
-from repro.core.predict import predict_points
-from repro.encoding.huffman import huffman_decode_many
+from repro.core.partition import Box, lattice_shape, level_strides
+from repro.core.pipeline import _walk
 from repro.core.stream import StreamReader
-from repro.encoding.quantizer import dequantize
-from repro.sz3.compressor import sz3_decompress
 from repro.util.timer import StageTimer
 
-Box = tuple[tuple[int, int], ...]  # per-axis (lo, hi), hi exclusive
+# Compatibility names: perfbench's tracer (perfbench/layers.py) wraps
+# these four on this module by attribute.  Nothing here calls them —
+# the ROI walk's spans land on ``repro.core.pipeline``'s names — and
+# they go when the tracer reads in-program spans (ROADMAP item 5).
+from repro.core.predict import predict_block as predict_points  # noqa: F401
+from repro.encoding.huffman import huffman_decode_many  # noqa: F401
+from repro.encoding.quantizer import dequantize  # noqa: F401
+from repro.sz3.compressor import sz3_decompress  # noqa: F401
 
 #: stencil halo per side, in coarse cells (cubic needs k-1 .. k+2)
 _DILATION = 2
@@ -120,168 +122,19 @@ def stz_decompress_roi(
             "random access requires the quantize residual codec "
             "(the sz3-residual ablation variant couples whole sub-blocks)"
         )
-    ndim = header.ndim
-    L = config.levels
-    strides = level_strides(L)
     timer = StageTimer()
     bytes_before = reader.bytes_read
-
-    # per-level windows, finest first
-    boxes: list[Box] = [None] * (L + 1)  # type: ignore[assignment]
-    boxes[L] = normalize_roi(header.shape, roi)
-    for lvl in range(L - 1, 0, -1):
-        cshape = lattice_shape(header.shape, strides[lvl - 1])
-        boxes[lvl] = _coarsen_box(boxes[lvl + 1], cshape)
-
-    # level 1: tiny, decompress fully then crop to its window
-    seg1 = header.segments_at(1)[0]
-    with timer.time("l1_sz3"):
-        C1 = sz3_decompress(reader.read_segment(seg1))
-    region = np.ascontiguousarray(
-        C1[tuple(slice(lo, hi) for lo, hi in boxes[1])]
-    )
-    origin = tuple(lo for lo, _ in boxes[1])
-
-    decoded_count = 0
-    skipped_count = 0
-    offsets = nonzero_offsets(ndim)
-    for lvl in range(2, L + 1):
-        fs = lattice_shape(header.shape, strides[lvl - 1])
-        prev_fs = lattice_shape(header.shape, strides[lvl - 2])
-        ebl = config.level_eb(header.abs_eb, lvl)
-        box = boxes[lvl]
-        segs = {s.eps: s for s in header.segments_at(lvl)}
-        newshape = tuple(hi - lo for lo, hi in box)
-        new_region = np.empty(newshape, dtype=header.dtype)
-        new_origin = tuple(lo for lo, _ in box)
-
-        # aligned (even-parity) points come straight from the coarser
-        # window — the reassembly stage of Table 4
-        with timer.time(f"l{lvl}_reassemble"):
-            dst = []
-            src = []
-            for a, (lo, hi) in enumerate(box):
-                f0 = lo + (lo & 1)
-                dst.append(slice(f0 - lo, hi - lo, 2))
-                src.append(slice(f0 // 2 - origin[a], None))
-            probe = new_region[tuple(dst)]
-            src = tuple(
-                slice(s.start, s.start + ext)
-                for s, ext in zip(src, probe.shape)
-            )
-            new_region[tuple(dst)] = region[src]
-
-        # pass 1 — which sub-blocks intersect the window, and where:
-        # f = 2k + eps in [lo, hi) per axis
-        needed: list[tuple] = []
-        for eps in offsets:
-            ts = subblock_shape(fs, eps)
-            kmin, kmax = [], []
-            empty = False
-            for a, (lo, hi) in enumerate(box):
-                k0 = max(0, -(-(lo - eps[a]) // 2))
-                k1 = min(ts[a] - 1, (hi - 1 - eps[a]) // 2)
-                if k0 > k1:
-                    empty = True
-                    break
-                kmin.append(k0)
-                kmax.append(k1)
-            if empty or segs[eps].length == 0:
-                skipped_count += 1
-                continue
-            needed.append((eps, ts, kmin, kmax))
-
-        # pass 2 — entropy-decode all needed sub-blocks in one batched
-        # call (whole sub-blocks: intra-sub-block bit dependencies)
-        with timer.time(f"l{lvl}_decode"):
-            parts = [
-                _split_residual_payload(
-                    reader.read_segment(segs[eps]), header.dtype
-                )
-                for eps, _, _, _ in needed
-            ]
-            # compiled per-segment decoders release the GIL, so the
-            # thread fan-out inside huffman_decode_many overlaps the
-            # entropy stage — the dominant cost of sub-chunk ROI reads
-            code_arrays = huffman_decode_many(
-                [p[0] for p in parts], threads=threads
-            )
-        decoded_count += len(needed)
-
-        # pass 3 — predict/reconstruct only the windowed points
-        for (eps, ts, kmin, kmax), (_, opos, oval), codes in zip(
-            needed, parts, code_arrays
-        ):
-            with timer.time(f"l{lvl}_predict"):
-                kranges = [
-                    np.arange(k0, k1 + 1, dtype=np.int64)
-                    for k0, k1 in zip(kmin, kmax)
-                ]
-                grids = np.meshgrid(*kranges, indexing="ij")
-                idx = tuple(g.ravel() for g in grids)
-                pred = predict_points(
-                    region,
-                    eps,
-                    idx,
-                    config.interp,
-                    config.cubic_mode,
-                    origin=origin,
-                    full_shape=tuple(prev_fs),
-                )
-                sel = tuple(
-                    slice(k0, k1 + 1) for k0, k1 in zip(kmin, kmax)
-                )
-                need_codes = np.ascontiguousarray(
-                    codes.reshape(ts)[sel]
-                ).reshape(-1)
-                # remap outliers into the selected window
-                o_idx = np.unravel_index(opos, ts) if opos.size else None
-                if o_idx is not None:
-                    inside = np.ones(opos.size, dtype=bool)
-                    for a in range(ndim):
-                        inside &= (o_idx[a] >= kmin[a]) & (
-                            o_idx[a] <= kmax[a]
-                        )
-                    local = tuple(
-                        o_idx[a][inside] - kmin[a] for a in range(ndim)
-                    )
-                    opos_local = np.ravel_multi_index(
-                        local, tuple(k1 - k0 + 1 for k0, k1 in zip(kmin, kmax))
-                    )
-                    oval_local = oval[inside]
-                else:
-                    opos_local = np.zeros(0, dtype=np.int64)
-                    oval_local = oval[:0]
-                rec = dequantize(
-                    need_codes,
-                    pred,
-                    ebl,
-                    opos_local,
-                    oval_local,
-                    config.quant_radius,
-                    config.f32_quant,
-                )
-            with timer.time(f"l{lvl}_reassemble"):
-                dst = tuple(
-                    slice(
-                        2 * k0 + eps[a] - box[a][0],
-                        2 * k1 + eps[a] - box[a][0] + 1,
-                        2,
-                    )
-                    for a, (k0, k1) in enumerate(zip(kmin, kmax))
-                )
-                new_region[dst] = rec.reshape(
-                    tuple(k1 - k0 + 1 for k0, k1 in zip(kmin, kmax))
-                )
-
-        region = new_region
-        origin = new_origin
-
+    boxes = [normalize_roi(header.shape, roi)]
+    for stride in level_strides(config.levels)[-2::-1]:
+        boxes.insert(
+            0, _coarsen_box(boxes[0], lattice_shape(header.shape, stride))
+        )
+    data, decoded, skipped = _walk(reader, boxes, threads, timer)
     return RandomAccessResult(
-        data=region,
-        box=boxes[L],
+        data=data,
+        box=boxes[-1],
         timer=timer,
-        segments_decoded=decoded_count,
-        segments_skipped=skipped_count,
+        segments_decoded=decoded,
+        segments_skipped=skipped,
         bytes_read=reader.bytes_read - bytes_before,
     )

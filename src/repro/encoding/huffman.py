@@ -323,13 +323,21 @@ def huffman_decode(blob: bytes | memoryview) -> np.ndarray:
     return huffman_decode_many([blob])[0]
 
 
-def _parse_segment(blob: bytes | memoryview):
+def _parse_segment(blob: bytes | memoryview, expected: int | None = None):
+    """Parse one segment's header and tables.  ``expected`` (optional)
+    is the symbol count the caller already knows; a header that
+    declares another count is rejected before anything of that size
+    is allocated."""
     blob = memoryview(blob)
     (magic, flags, chunk, alphabet, m, nbits, n_lens, n_sync) = _HEADER.unpack(
         blob[: _HEADER.size]
     )
     if magic != _MAGIC:
         raise ValueError("not a huffman segment (bad magic)")
+    if expected is not None and m != expected:
+        raise ValueError(
+            f"huffman segment declares {m} symbols, expected {expected}"
+        )
     if m == 0:
         return ("empty", np.zeros(0, dtype=np.uint32))
     if flags & _FLAG_CONST:
@@ -410,6 +418,7 @@ def _lockstep_walk(
 def huffman_decode_many(
     blobs: list[bytes | memoryview],
     threads: int | None = None,
+    counts: list[int] | None = None,
 ) -> list[np.ndarray]:
     """Decode several segments in one interleaved chunk-parallel loop.
 
@@ -424,8 +433,15 @@ def huffman_decode_many(
     many per-sub-block segments of an STZ level as cheap as one
     monolithic stream.  Per-segment code tables are fused into one
     array indexed by ``(segment_base | window)``.
+
+    ``counts`` (optional) gives each segment's expected symbol count;
+    a segment declaring another count raises ``ValueError`` before its
+    output is allocated.
     """
-    parsed = [_parse_segment(b) for b in blobs]
+    parsed = [
+        _parse_segment(b, n)
+        for b, n in zip(blobs, counts or [None] * len(blobs))
+    ]
     streams = [
         (i, spec) for i, (kind, spec) in enumerate(parsed) if kind == "stream"
     ]

@@ -25,6 +25,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +268,14 @@ class TestUncheckedStructuralMatrix:
         """A finest-level residual segment swapped for a constant
         Huffman stream of 16,000,000 codes — far more than its
         sub-block has points — must raise a clean ValueError on both
-        kernel paths (the compiled dequantize would otherwise read that
-        many predictions past the end of the prediction array).  The
-        decode runs in a child interpreter so a crash is a failed
-        assertion, not a dead test run."""
+        kernel paths, full and ROI decode alike, before anything of
+        the declared size is allocated: the walk passes each
+        sub-block's point count down, so the 34-byte segment cannot
+        make the decoder build a 64 MB code array (the compiled
+        dequantize would otherwise also read that many predictions
+        past the end of the prediction array).  The decode runs in a
+        child interpreter so a crash is a failed assertion, not a dead
+        test run."""
         reader = StreamReader(plain_v1)
         head = reader.header
         finest = max(seg.level for seg in head.segments)
@@ -294,24 +299,73 @@ class TestUncheckedStructuralMatrix:
         path.write_bytes(writer.tobytes())
 
         src = str(Path(api.__file__).parents[2])  # the tree holding repro
+        # each decode runs once to load the kernels, then once under
+        # tracemalloc; it prints its outcome and traced peak in bytes
+        child = textwrap.dedent(
+            """
+            import sys, tracemalloc
+            from repro.core import api
+
+            blob = open(sys.argv[1], "rb").read()
+            ops = {
+                "decompress": lambda: api.decompress(blob),
+                "decompress_roi": lambda: api.decompress_roi(
+                    blob, (slice(None), slice(None))
+                ),
+            }
+            for name, op in ops.items():
+                for traced in (False, True):
+                    if traced:
+                        tracemalloc.start()
+                    try:
+                        op()
+                        outcome = "decoded"
+                    except ValueError:
+                        outcome = "ValueError"
+                print(name, outcome, tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            """
+        )
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys\n"
-                "from repro.core import api\n"
-                "api.decompress(open(sys.argv[1], 'rb').read())\n",
-                str(path),
-            ],
+            [sys.executable, "-c", child, str(path)],
             env={**os.environ, "STZ_JIT": jit_mode, "PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=300,
         )
-        assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
-        assert proc.stderr.strip().splitlines()[-1].startswith(
-            "ValueError"
-        ), proc.stderr[-500:]
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-500:])
+        results = [line.split() for line in proc.stdout.splitlines()]
+        assert [r[:2] for r in results] == [
+            ["decompress", "ValueError"],
+            ["decompress_roi", "ValueError"],
+        ], proc.stdout
+        for name, _, peak in results:
+            assert int(peak) < 1 << 20, (name, int(peak))
+
+
+    def test_empty_residual_segment_rejected(self, plain_v1):
+        """The encoder writes an empty segment only for a sub-block
+        without points.  An empty segment in place of a finest-level
+        residual must raise in full and ROI decode, never hand back
+        the sub-block's points unreconstructed."""
+        reader = StreamReader(plain_v1)
+        head = reader.header
+        finest = max(seg.level for seg in head.segments)
+        target = next(
+            seg
+            for seg in head.segments
+            if seg.level == finest and seg.kind == KIND_RESIDUAL_Q
+            and seg.length
+        )
+        writer = StreamWriter(head.shape, head.dtype, head.config, head.abs_eb)
+        for seg in head.segments:
+            payload = b"" if seg is target else reader.read_segment(seg)
+            writer.add_segment(seg.level, seg.eps, seg.kind, payload)
+        blob = writer.tobytes()
+        with pytest.raises(ValueError, match="empty segment"):
+            api.decompress(blob)
+        with pytest.raises(ValueError, match="empty segment"):
+            api.decompress_roi(blob, (slice(None), slice(None)))
 
 
 def _set_row_offset(blob: bytes, row: int, offset: int) -> bytes:

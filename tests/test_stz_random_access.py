@@ -23,6 +23,24 @@ def packed3d():
     return data, blob, stz_decompress(blob)
 
 
+#: ROI property containers: the 3-D f32 default, a 1-D one, a 4-D one
+#: whose all-odd cubic windows (32 corner views) exceed the fused
+#: kernel and take the predict_block + dequantize fallback, and f64
+_CONTAINERS = {
+    "3d-f32": ((48, 40, 44), np.float32),
+    "1d-f32": ((203,), np.float32),
+    "4d-f32": ((10, 10, 10, 10), np.float32),
+    "3d-f64": ((30, 26, 21), np.float64),
+}
+
+
+@pytest.fixture(scope="module", params=list(_CONTAINERS))
+def container(request):
+    shape, dtype = _CONTAINERS[request.param]
+    blob = stz_compress(smooth_field(shape, seed=20).astype(dtype), 1e-3)
+    return blob, stz_decompress(blob)
+
+
 class TestNormalize:
     def test_slices_and_ints(self):
         box = normalize_roi((10, 10), (slice(2, 5), 7))
@@ -105,8 +123,8 @@ class TestBitIdentity:
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
-    def test_random_boxes_property(self, packed3d, data):
-        _, blob, full = packed3d
+    def test_random_boxes_property(self, container, data):
+        blob, full = container
         roi = []
         for n in full.shape:
             lo = data.draw(st.integers(0, n - 1))
