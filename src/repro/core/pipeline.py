@@ -45,12 +45,7 @@ from repro.core.partition import (
     subblock_view_in,
 )
 from repro.core.parallel import pmap
-from repro.core.predict import (
-    populate_shift_cache,
-    predict_block,
-    predict_dequant_block,
-    uses_shift_cache,
-)
+from repro.core.predict import predict_block, predict_dequant_block
 from repro.core.stream import (
     KIND_L1_SZ3,
     KIND_RESIDUAL_Q,
@@ -120,19 +115,6 @@ def _encode_residual_level(
         threads,
     )
     return payloads, [qb.recon for qb in qbs]
-
-
-def _level_shift_cache(C: np.ndarray, config: STZConfig) -> dict:
-    """The clamp-shift cache for predicting one level from ``C``.
-
-    A full level asks for every shift combination anyway, so filling it
-    up front costs nothing extra and leaves the dict read-only for pool
-    workers (a lazy fill is a check-then-insert race).
-    """
-    cache: dict = {}
-    if uses_shift_cache(config.interp, config.cubic_mode):
-        populate_shift_cache(C, cache)
-    return cache
 
 
 def _split_residual_payload(
@@ -285,17 +267,13 @@ def _compress_level_q(
     same path — each stage is a :func:`pmap`, a plain loop when serial
     — so both emit the same container bytes.
     """
-    shift_cache = _level_shift_cache(C, config)
 
     def predict(eps: Offset):
         B = np.ascontiguousarray(subblock_view_in(data, eps, stride))
         if B.size == 0:
             return None
         ts = subblock_shape(fine_shape, eps)
-        pred = predict_block(
-            C, eps, ts, config.interp, config.cubic_mode, shift_cache
-        )
-        return B, pred
+        return B, predict_block(C, eps, ts, config.interp, config.cubic_mode)
 
     pairs = pmap(predict, offsets, threads)
     live = [p for p in pairs if p is not None]
@@ -474,7 +452,7 @@ def _walk(
             ts = subblock_shape(shapes[lvl - 1], eps)
             box = windows[eps]
             window = dict(box=box, origin=origin, full_shape=shapes[lvl - 2])
-            args = (C, eps, ts, config.interp, config.cubic_mode, shift_cache)
+            args = (C, eps, ts, config.interp, config.cubic_mode)
             if not quantized:
                 return predict_block(*args, **window) + payload[_slices(box)]
             codes, pos, val = payload
@@ -498,11 +476,10 @@ def _walk(
             f32_mode = config.f32_quant and _f32_mode(
                 header.dtype, header.dtype, ebl, config.quant_radius
             )
-            shift_cache = _level_shift_cache(C, config)
             recs = pmap(reconstruct, list(zip(needed, payloads)), threads)
-            # the level's codes and shifted coarse copies are dead: free
-            # them before the reassembly allocates the finer lattice
-            del payloads, shift_cache
+            # the level's codes are dead: free them before the
+            # reassembly allocates the finer lattice
+            del payloads
         with timer.time(f"l{lvl}_reassemble"):
             # every part goes to its parity within the window — flipped
             # on axes where the window starts at an odd index; the

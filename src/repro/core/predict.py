@@ -18,7 +18,10 @@ paper's prediction ladder (its Figure 5 ablation) maps to ``interp``:
 Boundary policy matches the paper: cubic needs the full 4-point stencil,
 so points whose stencil leaves the lattice fall back to linear, and the
 final midpoint of an even-sized axis (no right neighbor) falls back to a
-direct copy — which the clamped-index linear formula produces naturally.
+direct copy.  One edge rule gives that copy: every stencil term is an
+offset view of the coarse lattice, edge-padded by one cell past the end
+of an axis where the points reach it (:func:`_edge_pad`), so the linear
+formula averages the last cell with its duplicate.
 
 Every stencil is one combine, ``sum(near)*wn - sum(outer)*wo``, and
 one region plan (:func:`_grid_plan`) decides which stencil covers which
@@ -28,7 +31,7 @@ slab of the requested points, so every path agrees *bit-for-bit*:
   pure slicing.  Compression predicts whole sub-blocks; decompression
   predicts the box a window covers, from the coarse window alone
   (``origin``/``full_shape``: the cubic-interior test and the edge
-  clamp follow the whole lattice, so a window prediction equals the
+  pad follow the whole lattice, so a window prediction equals the
   crop of the whole-block one — which is what makes ``ROI
   decompression == cropped full decompression`` exact),
 * :func:`predict_dequant_block` — the fused decode, walking the same
@@ -87,53 +90,24 @@ def _combine(
     return pred - _sum_seq(outer) * wo if outer else pred
 
 
-def _clamp_shift(arr: np.ndarray, axis: int) -> np.ndarray:
-    """``out[k] = arr[min(k+1, n-1)]`` along ``axis`` (edge-clamped)."""
-    n = arr.shape[axis]
-    if n == 1:
-        return arr
-    head = tuple(
-        slice(1, None) if a == axis else slice(None) for a in range(arr.ndim)
-    )
-    tail = tuple(
-        slice(n - 1, None) if a == axis else slice(None)
-        for a in range(arr.ndim)
-    )
-    return np.concatenate([arr[head], arr[tail]], axis=axis)
+def _edge_pad(C: np.ndarray, axes) -> np.ndarray:
+    """``C`` with one more cell past the end of each axis in ``axes``,
+    a copy of its last cell: ``P[k + 1] == C[min(k + 1, n - 1)]``.
 
-
-def _fill_shifts(C: np.ndarray, cache: dict, axes) -> dict:
-    """Ensure ``cache`` holds the clamp-shift of ``C`` for every subset
-    of ``axes`` (keyed by axis frozenset), building each combination
-    from its one-axis-smaller parent.  The single construction loop
-    shared by the lazy per-call fill and the thread-safe pre-fill."""
-    cache.setdefault(frozenset(), C)
-    for a in axes:
-        for key in list(cache):
-            if a not in key and (key | {a}) not in cache:
-                cache[key | {a}] = _clamp_shift(cache[key], a)
-    return cache
-
-
-def populate_shift_cache(C: np.ndarray, cache: dict) -> dict:
-    """Precompute every clamp-shift combination of ``C`` into ``cache``.
-
-    :func:`predict_block` fills its ``shift_cache`` lazily, which is
-    fine serially but is a check-then-insert race when the sub-blocks
-    of a level are predicted from a thread pool.  Filling all
-    ``2**d - 1`` axis combinations up front (the union every parity
-    offset of the level will ask for) makes the dict strictly read-only
-    for the workers.  Returns ``cache``.
+    The one edge rule of every predictor: the +1 neighbour of the last
+    midpoint of an even axis reads the duplicated cell, so the linear
+    formula there averages a cell with itself (the paper's copy
+    fallback, evaluated by the same combine as every other point).
+    Returns ``C`` itself, no copy, when ``axes`` is empty.
     """
-    return _fill_shifts(C, cache, range(C.ndim))
-
-
-def uses_shift_cache(interp: str, mode: str) -> bool:
-    """Whether :func:`predict_block` reads ``shift_cache`` at all
-    (direct prediction and the tensor cubic path never do)."""
-    return interp in ("linear", "cubic") and not (
-        interp == "cubic" and mode == "tensor"
-    )
+    if not axes:
+        return C
+    P = np.empty([n + (a in axes) for a, n in enumerate(C.shape)], C.dtype)
+    P[tuple(slice(0, n) for n in C.shape)] = C
+    for a in axes:
+        # later axes copy the cells this one adds, corners included
+        P[(slice(None),) * a + (-1,)] = P[(slice(None),) * a + (-2,)]
+    return P
 
 
 def _validate(
@@ -151,7 +125,8 @@ def _validate(
     A coarse window ``C`` sits at ``origin`` in a lattice of shape
     ``full_shape``.  It must cover every cell the box's stencils read —
     ``k - 1 .. k + 2`` on an odd axis, clipped to the lattice — so that
-    its own edge clamp only acts where the lattice's does.
+    a box reaches the window's end only where it reaches the lattice's,
+    the one place :func:`_grid_plan` edge-pads.
     """
     if (origin is None) != (full_shape is None):
         raise ValueError("origin and full_shape must be given together")
@@ -196,7 +171,6 @@ def _grid_plan(
     odd: list[int],
     box: Box,
     interp: str,
-    shift_cache: dict | None,
     origin: tuple[int, ...],
     full: tuple[int, ...],
 ) -> list[tuple]:
@@ -205,30 +179,38 @@ def _grid_plan(
     to the box) predicted as ``sum(near)*wn - sum(outer)*wo``.  ``C``
     is the coarse window at ``origin`` in a lattice of shape ``full``.
 
-    Linear, or cubic with an empty interior, is one whole-box region
-    (the clamped +1 shift handles every boundary, copying at the last
-    midpoint of an even axis).  Cubic is the interior slab where the
-    4-point stencil fits (``k`` in ``[1, full-3]`` per odd axis, within
-    the box), then linear on the boundary shell in disjoint slabs: slab
-    ``i`` fixes odd axis ``a_i`` to one boundary run and keeps the
-    earlier odd axes on the interior.  Each point gets the element-wise
-    formula of evaluating linear everywhere and overwriting the
-    interior, so values are bit-identical to that whatever the box.
+    Every stencil term is an offset view of the window, edge-padded
+    (:func:`_edge_pad`) on the odd axes where the box reaches its end —
+    which :func:`_validate` allows only at the lattice end.  Linear, or
+    cubic with an empty interior, is one whole-box region (the padded
+    +1 corner copies at the last midpoint of an even axis).  Cubic is
+    the interior slab where the 4-point stencil fits (``k`` in
+    ``[1, full-3]`` per odd axis, within the box), then linear on the
+    boundary shell in disjoint slabs: slab ``i`` fixes odd axis ``a_i``
+    to one boundary run and keeps the earlier odd axes on the interior.
+    Each point gets the element-wise formula of evaluating linear
+    everywhere and overwriting the interior, so values are
+    bit-identical to that whatever the box.
     """
     j = len(odd)
-    shifted = _fill_shifts(
-        C, shift_cache if shift_cache is not None else {}, odd
+    P = _edge_pad(
+        C, [a for a in odd if box[a][1] - origin[a] >= C.shape[a]]
     )
     start = tuple(lo for lo, _ in box)
 
-    def linear(bounds) -> tuple:
-        at = _at(bounds, origin)
-        corners = [
-            shifted[frozenset(a for a, d in zip(odd, delta) if d)][at]
-            for delta in itertools.product((0, 1), repeat=j)
+    def taps(bounds, offsets: tuple[int, int]) -> list[np.ndarray]:
+        # the views of ``bounds`` shifted by every offset combination
+        # on the odd axes, the last odd axis varying fastest
+        choices = [
+            [slice(lo - o + d, hi - o + d) for d in offsets]
+            if a in odd
+            else [slice(lo - o, hi - o)]
+            for a, ((lo, hi), o) in enumerate(zip(bounds, origin))
         ]
-        region = at if start == origin else _at(bounds, start)
-        return region, corners, [], 0.5**j, 0.0
+        return [P[sl] for sl in itertools.product(*choices)]
+
+    def linear(bounds) -> tuple:
+        return _at(bounds, start), taps(bounds, (0, 1)), [], 0.5**j, 0.0
 
     inner = list(box)
     for a in odd:
@@ -236,18 +218,8 @@ def _grid_plan(
     if interp == "linear" or any(inner[a][1] <= inner[a][0] for a in odd):
         return [linear(box)]
 
-    def taps(offsets: tuple[int, int]) -> list[np.ndarray]:
-        views = []
-        for delta in itertools.product(offsets, repeat=j):
-            bounds = list(inner)
-            for a, d in zip(odd, delta):
-                bounds[a] = (inner[a][0] + d, inner[a][1] + d)
-            views.append(C[_at(bounds, origin)])
-        return views
-
-    plan = [
-        (_at(inner, start), taps((0, 1)), taps((-1, 2)), *_cubic_weights(j))
-    ]
+    near, outer = taps(inner, (0, 1)), taps(inner, (-1, 2))
+    plan = [(_at(inner, start), near, outer, *_cubic_weights(j))]
     for i, a in enumerate(odd):
         for run in ((box[a][0], inner[a][0]), (inner[a][1], box[a][1])):
             if run[0] < run[1]:
@@ -274,7 +246,6 @@ def predict_block(
     ts: tuple[int, ...],
     interp: str = "cubic",
     mode: str = "diagonal",
-    shift_cache: dict | None = None,
     *,
     box: Box | None = None,
     origin: tuple[int, ...] | None = None,
@@ -289,11 +260,11 @@ def predict_block(
     what the window must cover); the result equals the same box of the
     whole-lattice prediction bit for bit.
 
-    ``shift_cache`` (optional) memoizes the clamp-shifted copies of
-    ``C`` across calls: the ``2**d - 1`` sub-blocks of one level share
-    shift combinations, so a per-level cache dict avoids recomputing
-    (and reallocating) the same shifted array for every parity offset.
-    Callers must pass a fresh dict per coarse lattice ``C``.
+    Every stencil reads offset views of ``C``; the only copy is the
+    edge pad of :func:`_grid_plan`, at most one per call, made only
+    when the box reaches the end of an odd axis of the lattice.  No
+    state is shared between calls, so the sub-blocks of a level can be
+    predicted from one ``C`` by any number of threads.
     """
     odd, box, origin, full = _validate(C, eps, ts, box, origin, full_shape)
     shape = tuple(hi - lo for lo, hi in box)
@@ -311,7 +282,7 @@ def predict_block(
     if interp == "direct":
         return np.ascontiguousarray(C[_at(box, origin)])
 
-    plan = _grid_plan(C, odd, box, interp, shift_cache, origin, full)
+    plan = _grid_plan(C, odd, box, interp, origin, full)
     if len(plan) == 1:
         return _combine(*plan[0][1:])
     pred = np.empty(shape, dtype=C.dtype)
@@ -326,7 +297,6 @@ def predict_dequant_block(
     ts: tuple[int, ...],
     interp: str,
     mode: str,
-    shift_cache: dict | None,
     codes: np.ndarray,
     eb: float,
     radius: int,
@@ -374,7 +344,7 @@ def predict_dequant_block(
     out = np.empty(shape, dtype=C.dtype)
     qv = codes.reshape(ts)[_at(box, (0,) * len(box))]
     for region, near, outer, wn, wo in _grid_plan(
-        C, odd, box, interp, shift_cache, origin, full
+        C, odd, box, interp, origin, full
     ):
         if not jit.combine_dequant(
             near, outer, wn, wo, qv[region], out[region], eb, radius, f32_mode
@@ -397,24 +367,21 @@ def interp_axis_midpoints(
     """
     if interp not in ("linear", "cubic"):
         raise ValueError(f"unknown 1D interp {interp!r}")
-    shifted = _clamp_shift(C, axis)
-    cut = tuple(
-        slice(0, t) if a == axis else slice(None) for a in range(C.ndim)
-    )
-    pred = _combine([C[cut], shifted[cut]], [], 0.5, 0.0)
+    n = C.shape[axis]
+    P = _edge_pad(C, [axis] if t >= n else [])
+
+    def sl(lo: int, hi: int, delta: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(lo + delta, hi + delta),)
+
+    pred = _combine([P[sl(0, t, 0)], P[sl(0, t, 1)]], [], 0.5, 0.0)
     if interp == "linear":
         return pred
-    lo, hi = 1, min(C.shape[axis] - 2, t)
+    lo, hi = 1, min(n - 2, t)
     if hi > lo:
-
-        def sl(delta: int) -> tuple[slice, ...]:
-            return tuple(
-                slice(lo + delta, hi + delta) if a == axis else slice(None)
-                for a in range(C.ndim)
-            )
-
-        pred[sl(0)] = _combine(
-            [C[sl(0)], C[sl(1)]], [C[sl(-1)], C[sl(2)]], *_cubic_weights(1)
+        pred[sl(lo, hi, 0)] = _combine(
+            [C[sl(lo, hi, 0)], C[sl(lo, hi, 1)]],
+            [C[sl(lo, hi, -1)], C[sl(lo, hi, 2)]],
+            *_cubic_weights(1),
         )
     return pred
 

@@ -318,9 +318,13 @@ def huffman_encode_many(
     return pmap(lambda a: huffman_encode(a, chunk), arrays, threads)
 
 
-def huffman_decode(blob: bytes | memoryview) -> np.ndarray:
-    """Decode a segment produced by :func:`huffman_encode` (uint32)."""
-    return huffman_decode_many([blob])[0]
+def huffman_decode(
+    blob: bytes | memoryview, count: int | None = None
+) -> np.ndarray:
+    """Decode a segment produced by :func:`huffman_encode` (uint32).
+    ``count`` (optional) is the symbol count the caller expects, as
+    for :func:`huffman_decode_many`'s ``counts``."""
+    return huffman_decode_many([blob], counts=[count])[0]
 
 
 def _parse_segment(blob: bytes | memoryview, expected: int | None = None):

@@ -27,6 +27,7 @@ quality character and its computational cost.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -304,12 +305,22 @@ def mgard_decompress(
         raise ValueError(f"level must be in [1, {L + 1}] (1 = root lattice)")
     refinements = L if level is None else level - 1
 
-    codes = huffman_decode(decompress_bytes(sections[1]))
     offsets = nonzero_offsets(ndim)
     # reproduce the exact batch structure of compression
     lat_shapes = [tuple(shape)]
     for _ in range(L):
         lat_shapes.append(lattice_shape(lat_shapes[-1], 2))
+    batches = [
+        (lvl, eps, subblock_shape(lat_shapes[L - lvl], eps))
+        for lvl in range(L, 0, -1)
+        for eps in offsets
+    ]
+    # the batch sizes fix the code count: a stream declaring another is
+    # rejected before its output is allocated
+    codes = huffman_decode(
+        decompress_bytes(sections[1]),
+        sum(math.prod(ts) for _, _, ts in batches),
+    )
     out_blob = decompress_bytes(sections[2])
     nb = L * len(offsets)
     counts = np.frombuffer(out_blob[: 4 * nb], dtype=np.uint32)
@@ -322,26 +333,21 @@ def mgard_decompress(
     # pre-split code/outlier runs in compression order (fine -> coarse)
     runs = []
     c_off = o_off = 0
-    i = 0
-    for lvl in range(L, 0, -1):
-        fine_shape = lat_shapes[L - lvl]
-        for eps in offsets:
-            ts = subblock_shape(fine_shape, eps)
-            size = int(np.prod(ts)) if all(ts) else 0
-            n_out = int(counts[i])
-            runs.append(
-                (
-                    lvl,
-                    eps,
-                    ts,
-                    codes[c_off : c_off + size],
-                    pos_all[o_off : o_off + n_out].astype(np.int64),
-                    val_all[o_off : o_off + n_out],
-                )
+    for i, (lvl, eps, ts) in enumerate(batches):
+        size = math.prod(ts)
+        n_out = int(counts[i])
+        runs.append(
+            (
+                lvl,
+                eps,
+                ts,
+                codes[c_off : c_off + size],
+                pos_all[o_off : o_off + n_out].astype(np.int64),
+                val_all[o_off : o_off + n_out],
             )
-            c_off += size
-            o_off += n_out
-            i += 1
+        )
+        c_off += size
+        o_off += n_out
 
     current = (
         np.frombuffer(decompress_bytes(sections[3]), dtype=np.float64)

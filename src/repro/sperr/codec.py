@@ -102,7 +102,11 @@ def _decode_band(
     if len(payload) == 0 or not regions:
         return
     sections = unpack_sections(payload)
-    codes = huffman_decode(decompress_bytes(sections[0]))
+    # the band's regions fix the code count: a stream declaring another
+    # is rejected before its output is allocated
+    codes = huffman_decode(
+        decompress_bytes(sections[0]), sum(coeffs[r].size for r in regions)
+    )
     blob = bytes(sections[1])
     (n_out,) = struct.unpack_from("<Q", blob, 0)
     pos = np.frombuffer(blob, dtype=np.uint64, count=n_out, offset=8).astype(

@@ -205,8 +205,12 @@ def sz3_decompress(blob: bytes | memoryview) -> np.ndarray:
     dtype = dtype_from_code(dt)
     interp = _INTERP_NAME[interp_c & ~_F32_BIT]
 
-    codes = huffman_decode(decompress_bytes(sections[1]))
     batches = schedule(shape, astride)
+    # the schedule fixes the code count: a stream declaring another is
+    # rejected before its output is allocated
+    codes = huffman_decode(
+        decompress_bytes(sections[1]), sum(b.size for b in batches)
+    )
     out_blob = decompress_bytes(sections[2])
     nb = len(batches)
     counts = np.frombuffer(out_blob[: 4 * nb], dtype=np.uint32)

@@ -21,11 +21,13 @@ containment.  All fault injection goes through the deterministic
 harness in :mod:`repro.testing`.
 """
 
+import functools
 import os
 import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from repro.core.integrity import (
 from repro.core.parallel import execute_map, fork_available
 from repro.core.stream import (
     _FRAME_DTYPE,
+    KIND_L1_SZ3,
     KIND_RESIDUAL_Q,
     MultiFrameReader,
     MultiFrameWriter,
@@ -55,6 +58,10 @@ from repro.core.stream import (
 from repro.core.streaming import StreamingDecompressor
 from repro.encoding.huffman import huffman_encode
 from repro.encoding.lossless import compress_bytes
+from repro.encoding.quantizer import DEFAULT_RADIUS
+from repro.mgard.codec import mgard_compress, mgard_decompress
+from repro.sperr.codec import sperr_compress, sperr_decompress
+from repro.sz3.compressor import sz3_compress, sz3_decompress
 from repro.testing import (
     WorkerKiller,
     corrupt_chunk_payload,
@@ -63,7 +70,7 @@ from repro.testing import (
     flip_byte,
     truncate_at,
 )
-from repro.util.sections import pack_sections
+from repro.util.sections import pack_sections, unpack_sections
 
 EB = 1e-3
 
@@ -102,6 +109,26 @@ def v2(steps):
         steps, EB, keyframe_interval=2, checksum=True, recoverable=True
     )
     return blob, np.stack(list(api.iter_decompress(blob)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oversized_codes(radius: int) -> bytes:
+    """A zlib-wrapped constant Huffman stream of 16,000,000 codes, as
+    every codec stores its code section: a few dozen bytes declaring
+    far more symbols than any archive in this suite has points."""
+    codes = np.full(16_000_000, radius, np.uint32)
+    return compress_bytes(huffman_encode(codes), 1)
+
+
+def _with_codes(blob: bytes, path: tuple[int, ...], codes: bytes) -> bytes:
+    """``blob`` with the section at ``path`` (indices into nested
+    section containers) replaced by ``codes``."""
+    sections = unpack_sections(blob)
+    i, *rest = path
+    if rest:
+        codes = _with_codes(sections[i], tuple(rest), codes)
+    sections[i] = codes
+    return pack_sections(sections)
 
 
 def _no_silent_wrong_data(damaged, decode, reference):
@@ -261,36 +288,55 @@ class TestUncheckedStructuralMatrix:
             assert not report.corrupt
             assert report.unchecked  # reported, not silently "ok"
 
-    @pytest.mark.parametrize("jit_mode", ["1", "0"])
+    @pytest.mark.parametrize(
+        "segment,jit_mode",
+        [
+            # the finest-residual cases keep their original ids
+            pytest.param("residual", "1", id="1"),
+            pytest.param("residual", "0", id="0"),
+            pytest.param("l1-sz3", "1", id="l1-sz3-1"),
+            pytest.param("l1-sz3", "0", id="l1-sz3-0"),
+        ],
+    )
     def test_oversized_code_stream_rejected(
-        self, plain_v1, jit_mode, tmp_path
+        self, plain_v1, segment, jit_mode, tmp_path
     ):
-        """A finest-level residual segment swapped for a constant
-        Huffman stream of 16,000,000 codes — far more than its
-        sub-block has points — must raise a clean ValueError on both
-        kernel paths, full and ROI decode alike, before anything of
-        the declared size is allocated: the walk passes each
-        sub-block's point count down, so the 34-byte segment cannot
-        make the decoder build a 64 MB code array (the compiled
-        dequantize would otherwise also read that many predictions
-        past the end of the prediction array).  The decode runs in a
-        child interpreter so a crash is a failed assertion, not a dead
-        test run."""
+        """A code stream swapped for a constant Huffman stream of
+        16,000,000 codes — far more than its segment has points — must
+        raise a clean ValueError on both kernel paths, full and ROI
+        decode alike, before anything of the declared size is
+        allocated.  ``segment`` picks the stream: a finest-level
+        residual (the walk passes each sub-block's point count down)
+        or the code section of the level-1 SZ3 container (the SZ3
+        decoder checks it against its batch schedule), so the 34-byte
+        stream cannot make the decoder build a 64 MB code array (the
+        compiled dequantize would otherwise also read that many
+        predictions past the end of the prediction array).  The decode
+        runs in a child interpreter so a crash is a failed assertion,
+        not a dead test run."""
         reader = StreamReader(plain_v1)
         head = reader.header
-        finest = max(seg.level for seg in head.segments)
-        target = next(
-            seg
-            for seg in head.segments
-            if seg.level == finest and seg.kind == KIND_RESIDUAL_Q
-        )
-        codes = np.full(16_000_000, head.config.quant_radius, np.uint32)
-        oversized = pack_sections(
-            [
-                compress_bytes(huffman_encode(codes), head.config.zlib_level),
-                struct.pack("<Q", 0),  # no outliers
-            ]
-        )
+        if segment == "residual":
+            finest = max(seg.level for seg in head.segments)
+            target = next(
+                seg
+                for seg in head.segments
+                if seg.level == finest and seg.kind == KIND_RESIDUAL_Q
+            )
+            oversized = pack_sections(
+                [
+                    _oversized_codes(head.config.quant_radius),
+                    struct.pack("<Q", 0),  # no outliers
+                ]
+            )
+        else:
+            target = next(
+                seg for seg in head.segments if seg.kind == KIND_L1_SZ3
+            )
+            oversized = _with_codes(
+                reader.read_segment(target), (1,),
+                _oversized_codes(head.config.quant_radius),
+            )
         writer = StreamWriter(head.shape, head.dtype, head.config, head.abs_eb)
         for seg in head.segments:
             payload = oversized if seg is target else reader.read_segment(seg)
@@ -366,6 +412,36 @@ class TestUncheckedStructuralMatrix:
             api.decompress(blob)
         with pytest.raises(ValueError, match="empty segment"):
             api.decompress_roi(blob, (slice(None), slice(None)))
+
+
+class TestBaselineCodeCounts:
+    """Each baseline decoder knows its code count before it decodes —
+    SZ3 from its batch schedule, MGARD from its level sub-blocks, a
+    SPERR band from its coefficient regions — and rejects a stream
+    declaring another before allocating anything of that size."""
+
+    CODECS = {
+        # codec: (compress, decompress, path of a code section)
+        "sz3": (sz3_compress, sz3_decompress, (1,)),
+        "mgard": (mgard_compress, mgard_decompress, (1,)),
+        # the finest detail band's code section
+        "sperr": (sperr_compress, sperr_decompress, (2, 0)),
+    }
+
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_oversized_code_stream_rejected(self, field, codec):
+        compress, decompress, path = self.CODECS[codec]
+        blob = compress(field, EB)
+        decompress(blob)  # load the kernels untraced
+        blob = _with_codes(blob, path, _oversized_codes(DEFAULT_RADIUS))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="declares 16000000"):
+                decompress(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def _set_row_offset(blob: bytes, row: int, offset: int) -> bytes:

@@ -47,7 +47,6 @@ from repro.core.partition import (
 )
 from repro.core.pipeline import stz_compress, stz_decompress
 from repro.core.predict import (
-    _clamp_shift,
     _combine,
     _cubic_weights,
     _predict_block_tensor,
@@ -274,9 +273,24 @@ ENCODE_REPS = 7
 ENCODE_MIN_SPEEDUP = 1.30
 
 
+def _clamp_shift(arr: np.ndarray, axis: int) -> np.ndarray:
+    """``out[k] = arr[min(k+1, n-1)]`` along ``axis`` (edge-clamped)."""
+    n = arr.shape[axis]
+    if n == 1:
+        return arr
+    head = tuple(
+        slice(1, None) if a == axis else slice(None) for a in range(arr.ndim)
+    )
+    tail = tuple(
+        slice(n - 1, None) if a == axis else slice(None)
+        for a in range(arr.ndim)
+    )
+    return np.concatenate([arr[head], arr[tail]], axis=axis)
+
+
 def _ref_predict_block(C, eps, ts, interp="cubic", mode="diagonal"):
     """Seed predictor: full-block linear, cubic interior overwrite."""
-    odd = _validate(C, eps, ts)
+    odd = _validate(C, eps, ts, None, None, None)[0]
     if any(t == 0 for t in ts):
         return np.empty(ts, dtype=C.dtype)
     if interp == "cubic" and mode == "tensor":

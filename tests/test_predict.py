@@ -9,6 +9,7 @@ runs exactly that, so it is what makes ROI equal cropped full decode.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,8 +94,7 @@ class TestGridGatherEquality:
             with jit.override(kernels):
                 whole = predict_block(C, eps, ts, interp)
                 fused = predict_dequant_block(
-                    C, eps, ts, interp, "diagonal", {}, codes, eb, radius,
-                    f32,
+                    C, eps, ts, interp, "diagonal", codes, eb, radius, f32
                 )
                 for box in _boxes(rng, ts):
                     Cw, origin = _covering_window(C, eps, box, rng)
@@ -103,8 +103,8 @@ class TestGridGatherEquality:
                     got = predict_block(Cw, eps, ts, interp, **window)
                     assert got.tobytes() == whole[sel].tobytes(), (eps, box)
                     rec = predict_dequant_block(
-                        Cw, eps, ts, interp, "diagonal", {}, codes, eb,
-                        radius, f32, **window,
+                        Cw, eps, ts, interp, "diagonal", codes, eb, radius,
+                        f32, **window,
                     )
                     if fused is None:
                         assert rec is None
@@ -195,8 +195,8 @@ class TestFusedDecode:
                         pos = np.flatnonzero(rng.random(n) < 0.2)
                         val = rng.normal(size=pos.size).astype(dtype)
                         got = predict_dequant_block(
-                            C, eps, ts, interp, "diagonal", {}, codes,
-                            eb, radius, f32_mode,
+                            C, eps, ts, interp, "diagonal", codes, eb,
+                            radius, f32_mode,
                         )
                         if ndim == 4 and interp == "cubic" and all(eps):
                             assert got is None  # 32 views > kernel's 16
@@ -210,6 +210,76 @@ class TestFusedDecode:
                         assert got.tobytes() == want.tobytes(), (
                             shape, eps, ts,
                         )
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEdgePadMemory:
+    """The one edge rule copies at most one padded lattice per call,
+    and nothing where the points stop short of the lattice end.
+    Cubic's multi-region plan also holds the largest region's combine
+    result while it is written into the output: one more output's
+    worth at most."""
+
+    SLACK = 16 << 10
+
+    @pytest.fixture(autouse=True)
+    def _kernels(self):
+        with jit.override(True):
+            if not jit.has("combine_f32"):
+                pytest.skip("compiled kernels unavailable")
+            yield
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_whole_lattice_pads_once(self, interp, rng):
+        # even fine extents: the all-odd sub-block reaches the end of
+        # every axis, so the one pad covers all three
+        C = rng.normal(size=(40, 40, 40)).astype(np.float32)
+        ts, eps = C.shape, (1, 1, 1)
+        predict_block(C, eps, ts, interp)  # load the kernels untraced
+        out, peak = _traced_peak(lambda: predict_block(C, eps, ts, interp))
+        assert out.shape == ts
+        padded = 41**3 * C.itemsize
+        outputs = 1 if interp == "linear" else 2
+        assert peak <= outputs * out.nbytes + padded + self.SLACK, peak
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_window_short_of_the_end_pads_nothing(self, interp, rng):
+        C = rng.normal(size=(40, 40, 40)).astype(np.float32)
+        ts, eps = C.shape, (1, 1, 1)
+        box = ((4, 30),) * 3
+        window = dict(box=box, origin=(3, 3, 3), full_shape=C.shape)
+        Cw = C[3:32, 3:32, 3:32]  # just covers the box's stencils
+        radius, eb = 1 << 15, 1e-3
+        codes = np.full(int(np.prod(ts)), radius, dtype=np.uint32)
+        outputs = 1 if interp == "linear" else 2
+        calls = {
+            "predict_block": (
+                lambda: predict_block(Cw, eps, ts, interp, **window),
+                outputs,
+            ),
+            "predict_dequant_block": (
+                lambda: predict_dequant_block(
+                    Cw, eps, ts, interp, "diagonal", codes, eb, radius,
+                    False, **window,
+                ),
+                1,  # every region writes straight into the output
+            ),
+        }
+        for name, (call, n_out) in calls.items():
+            call()
+            out, peak = _traced_peak(call)
+            assert out.shape == (26, 26, 26)
+            # a pad of the window would add 30**3 * 4 bytes
+            assert peak <= n_out * out.nbytes + self.SLACK, (name, peak)
 
 
 class TestExactness:
